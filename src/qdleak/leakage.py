@@ -4,7 +4,12 @@ The threat model is passive: the observer sees every public announcement,
 knows the protocol completely, and holds no quantum access.  Starting from a
 uniform prior over all secret assignments, the posterior keeps exactly the
 assignments that could have produced the announced transcript, weighted by
-the probability of producing it.  Leakage is quantified in bits:
+the probability of producing it.  That probability, P(announced | secrets),
+is each protocol's transcript channel, read from :mod:`qdleak.protocols`
+(:func:`~qdleak.protocols.channel_row` for a whole audit,
+:func:`~qdleak.protocols.channel_cell` for one transcript); nothing here
+depends on how a protocol produces its announcements.  Leakage is quantified
+in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
 
@@ -31,11 +36,9 @@ from .protocols import (
     TranscriptError,
     all_secret_assignments,
     basis_labels_of,
-    jz_outcome_label,
-    mxn_encoded_state,
-    nba_final_label,
-    paired_bell_distribution,
-    paired_bell_probability,
+    channel_cell,
+    channel_row,
+    total_secret_bits,
 )
 from .qstate import ATOL, KET_LABELS, BellLabel
 
@@ -86,45 +89,15 @@ class Posterior:
     def entropy_bits(self) -> float:
         return shannon_entropy(self.probabilities)
 
-    def probability_of(self, secrets: SecretAssignment) -> float:
-        for s, p in self.hypotheses:
-            if s == secrets:
-                return p
-        return 0.0
-
-
-def _transcript_weight(secrets: SecretAssignment, transcript: Transcript) -> float:
-    """P(transcript | secrets): re-runs the transcript-production logic."""
-    protocol = transcript.protocol
-    if protocol is Protocol.NBA:
-        initial, final = transcript.announced
-        produced = nba_final_label(secrets.alice, secrets.others[0], initial)
-        return 1.0 if produced == final else 0.0
-    if protocol is Protocol.JZ:
-        initial, outcome = transcript.announced
-        produced = jz_outcome_label(secrets.alice[0], secrets.others[0][0], initial)
-        return 1.0 if produced == outcome else 0.0
-    if protocol is Protocol.MXN:
-        return paired_bell_probability(mxn_encoded_state(secrets), transcript.announced)
-    # OTP: average over the unknown shared key bit.
-    ca, cb = (int(c) for c in transcript.announced)
-    hits = sum(
-        1
-        for key in (0, 1)
-        if (secrets.alice[0] ^ key, secrets.others[0][0] ^ key) == (ca, cb)
-    )
-    return hits / 2.0
 
 
 def eve_posterior(transcript: Transcript) -> Posterior:
     """Posterior over all secret assignments given one public transcript,
     starting from a uniform prior."""
-    parties = (
-        len(transcript.announced) if transcript.protocol is Protocol.MXN else None
-    )
+    announced = transcript.announced
     weighted = (
-        (s, _transcript_weight(s, transcript))
-        for s in all_secret_assignments(transcript.protocol, parties)
+        (s, channel_cell(s, announced))
+        for s in all_secret_assignments(transcript.protocol, len(announced))
     )
     return Posterior.from_weights(weighted)
 
@@ -207,21 +180,10 @@ class LeakageReport:
     per_transcript: tuple[TranscriptLeakage, ...]
 
 
-def total_secret_bits(protocol: Protocol, parties: int | None = None) -> int:
-    """How many secret bits one run of the protocol communicates in total."""
-    if protocol is Protocol.NBA:
-        return 4
-    if protocol in (Protocol.JZ, Protocol.OTP):
-        return 2
-    if parties is None:
-        raise ValueError("mxn needs a party count")
-    return parties + 1
-
-
-def _transcript_sort_key(transcript: Transcript):
+def _announced_sort_key(announced: tuple):
     return tuple(
         label.text if isinstance(label, BellLabel) else str(label)
-        for label in transcript.announced
+        for label in announced
     )
 
 
@@ -229,70 +191,42 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     """Enumerate every reachable transcript (exactly, no sampling) under
     uniform secrets (and uniform initial state / key where one exists) and
     audit each one's posterior."""
-    if protocol is not Protocol.MXN and parties not in (None, 2):
+    if protocol is Protocol.MXN:
+        if parties is None or not 3 <= parties <= 6:
+            raise ValueError("mxn audits need parties in 3..6")
+    elif parties not in (None, 2):
         raise ValueError(f"{protocol.text} has a fixed party count of 2")
-    if protocol is Protocol.MXN and (parties is None or not 3 <= parties <= 6):
-        raise ValueError("mxn audits need parties in 3..6")
-
-    # transcript -> {assignment: P(transcript | assignment, public choices)}
-    likelihoods: dict[Transcript, dict[SecretAssignment, float]] = {}
-    assignments = all_secret_assignments(protocol, parties)
-
-    if protocol is Protocol.NBA:
-        contexts = [(label,) for label in BellLabel]
-    elif protocol is Protocol.JZ:
-        contexts = [(label,) for label in KET_LABELS]
     else:
-        contexts = [()]
+        parties = None  # a fixed-size protocol's report carries no count
 
+    # announced -> {assignment: P(announced | assignment)}
+    likelihoods: dict[tuple, dict[SecretAssignment, float]] = {}
+    assignments = all_secret_assignments(protocol, parties)
     for secrets in assignments:
-        for context in contexts:
-            if protocol is Protocol.NBA:
-                (initial,) = context
-                final = nba_final_label(secrets.alice, secrets.others[0], initial)
-                branches = {Transcript(protocol, (initial, final)): 1.0}
-            elif protocol is Protocol.JZ:
-                (initial,) = context
-                outcome = jz_outcome_label(
-                    secrets.alice[0], secrets.others[0][0], initial
-                )
-                branches = {Transcript(protocol, (initial, outcome)): 1.0}
-            elif protocol is Protocol.MXN:
-                branches = {
-                    Transcript(protocol, announced): prob
-                    for announced, prob in paired_bell_distribution(
-                        mxn_encoded_state(secrets)
-                    ).items()
-                }
-            else:
-                branches = {}
-                for key in (0, 1):
-                    announced = (
-                        str(secrets.alice[0] ^ key),
-                        str(secrets.others[0][0] ^ key),
-                    )
-                    t = Transcript(protocol, announced)
-                    branches[t] = branches.get(t, 0.0) + 0.5
-            weight = 1.0 / len(contexts)
-            for t, prob in branches.items():
-                bucket = likelihoods.setdefault(t, {})
-                bucket[secrets] = bucket.get(secrets, 0.0) + prob * weight
+        for announced, prob in channel_row(secrets).items():
+            likelihoods.setdefault(announced, {})[secrets] = prob
 
     total = total_secret_bits(protocol, parties)
     prior = 1.0 / len(assignments)
     entries = []
-    for t in sorted(likelihoods, key=_transcript_sort_key):
-        weights = likelihoods[t]
+    for announced in sorted(likelihoods, key=_announced_sort_key):
+        weights = likelihoods[announced]
         probability = prior * sum(weights.values())
         posterior = Posterior.from_weights(weights.items())
         entropy = posterior.entropy_bits
         entries.append(
-            TranscriptLeakage(t, probability, posterior, entropy, total - entropy)
+            TranscriptLeakage(
+                Transcript(protocol, announced),
+                probability,
+                posterior,
+                entropy,
+                total - entropy,
+            )
         )
     secure = sum(e.probability * e.entropy_bits for e in entries)
     return LeakageReport(
         protocol=protocol,
-        parties=parties if protocol is Protocol.MXN else None,
+        parties=parties,
         total_bits=total,
         secure_bits=secure,
         leaked_bits=total - secure,

@@ -4,9 +4,11 @@ The three protocols share one shape: one party prepares a quantum resource,
 ships part of it around, every party encodes its secret bits with local
 Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
-What an outside observer can infer from those announcements alone is the
-business of :mod:`qdleak.leakage`; this module only produces transcripts and
-checks that legitimate parties decode correctly.
+Each protocol also has its transcript channel here, P(announced | secrets):
+a row (the whole distribution for one assignment) and a cell (one entry of
+it, computed along the announced branch only), reached through
+:func:`channel_row` and :func:`channel_cell`.  What an outside observer can
+infer from the announcements is the business of :mod:`qdleak.leakage`.
 
 Protocols:
 
@@ -25,7 +27,7 @@ Protocols:
 * OTP: not a quantum protocol but a classical reference point, two parties
   XOR-ing one plaintext bit each with the same reused key bit and announcing
   the ciphertexts.  It exists so the leakage module can compare structures;
-  there is no run function for it.
+  it has a channel but no run function.
 
 All run functions are deterministic given their arguments (plus the rng for
 MXN, which consumes one uniform draw per pair measurement, in pair order).
@@ -141,6 +143,15 @@ _SECRET_SHAPE = {
     Protocol.MXN: (2, 1, 1, 5),
 }
 
+# The symbols one announced position may hold; a transcript announces one
+# symbol per party.
+_ANNOUNCED_SYMBOLS = {
+    Protocol.NBA: tuple(BellLabel),
+    Protocol.JZ: KET_LABELS,
+    Protocol.OTP: ("0", "1"),
+    Protocol.MXN: tuple(BellLabel),
+}
+
 
 def nba_secrets(alice: BitsLike, bob: BitsLike) -> SecretAssignment:
     return SecretAssignment(Protocol.NBA, as_bits(alice, 2), (as_bits(bob, 2),))
@@ -165,20 +176,31 @@ def all_secret_assignments(
     protocol: Protocol, parties: int | None = None
 ) -> tuple[SecretAssignment, ...]:
     """Every possible assignment, in lexicographic bit order (the uniform
-    prior's support)."""
-    if protocol is Protocol.NBA:
-        return tuple(nba_secrets(a, b) for a in BIT_PAIRS for b in BIT_PAIRS)
-    if protocol is Protocol.JZ:
-        return tuple(jz_secrets(a, b) for a in (0, 1) for b in (0, 1))
-    if protocol is Protocol.OTP:
-        return tuple(otp_secrets(a, b) for a in (0, 1) for b in (0, 1))
-    if parties is None or not 2 <= parties <= 6:
-        raise ValueError("mxn needs an explicit party count in 2..6")
+    prior's support).  ``parties`` is ignored for fixed-size protocols."""
+    alice_w, other_w, lo, hi = _SECRET_SHAPE[protocol]
+    if lo == hi:
+        parties = lo + 1
+    if parties is None or not lo + 1 <= parties <= hi + 1:
+        raise ValueError(
+            f"{protocol.text} needs an explicit party count in {lo + 1}..{hi + 1}"
+        )
     return tuple(
-        mxn_secrets(a, rest)
-        for a in BIT_PAIRS
-        for rest in itertools.product((0, 1), repeat=parties - 1)
+        SecretAssignment(protocol, alice, others)
+        for alice in itertools.product((0, 1), repeat=alice_w)
+        for others in itertools.product(
+            itertools.product((0, 1), repeat=other_w), repeat=parties - 1
+        )
     )
+
+
+def total_secret_bits(protocol: Protocol, parties: int | None = None) -> int:
+    """How many secret bits one run of the protocol communicates in total."""
+    alice_w, other_w, lo, hi = _SECRET_SHAPE[protocol]
+    if lo == hi:
+        parties = lo + 1
+    if parties is None:
+        raise ValueError(f"{protocol.text} needs a party count")
+    return alice_w + other_w * (parties - 1)
 
 
 @dataclass(frozen=True)
@@ -195,16 +217,10 @@ class Transcript:
 
     def __post_init__(self):
         a = self.announced
-        if self.protocol in (Protocol.NBA, Protocol.MXN):
-            lo, hi = (2, 2) if self.protocol is Protocol.NBA else (2, 6)
-            if not (lo <= len(a) <= hi and all(isinstance(x, BellLabel) for x in a)):
-                raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}")
-        elif self.protocol is Protocol.JZ:
-            if len(a) != 2 or any(x not in KET_LABELS for x in a):
-                raise TranscriptError(f"bad jz announcement {a!r}")
-        else:
-            if len(a) != 2 or any(x not in ("0", "1") for x in a):
-                raise TranscriptError(f"bad otp announcement {a!r}")
+        _, _, lo, hi = _SECRET_SHAPE[self.protocol]
+        symbols = _ANNOUNCED_SYMBOLS[self.protocol]
+        if not (lo + 1 <= len(a) <= hi + 1 and all(x in symbols for x in a)):
+            raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}")
 
 
 @dataclass(frozen=True)
@@ -239,10 +255,6 @@ def nba_op_for_bits(bits: Bits) -> PauliOp:
     return _NBA_OP_FOR_BITS[as_bits(bits, 2)]
 
 
-def nba_bits_for_op(op: PauliOp) -> Bits:
-    return _NBA_BITS_FOR_OP[op]
-
-
 def mxn_alice_op_for_bits(bits: Bits) -> PauliOp:
     """Party 0's MXN coding: 00->I, 01->sz, 10->isy, 11->sx.
 
@@ -261,7 +273,6 @@ def flip_op_for_bit(bit: int) -> PauliOp:
     return _FLIP_OP_FOR_BIT[bit]
 
 
-_NBA_BITS_FOR_OP = {op: bits for bits, op in _NBA_OP_FOR_BITS.items()}
 _MXN_ALICE_BITS_FOR_OP = {op: bits for bits, op in _MXN_ALICE_OP_FOR_BITS.items()}
 
 
@@ -296,6 +307,19 @@ def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
         {0: nba_decode(bob, initial, final)},
     )
     return RunRecord(secrets, transcript, decoded)
+
+
+def nba_row(secrets: SecretAssignment) -> dict[tuple, float]:
+    """P(announced | secrets) over the four equally likely initial labels."""
+    alice, bob = secrets.alice, secrets.others[0]
+    return {(i, nba_final_label(alice, bob, i)): 0.25 for i in BellLabel}
+
+
+def nba_cell(secrets: SecretAssignment, announced: tuple) -> float:
+    """One entry of :func:`nba_row`, for the announced initial label only."""
+    initial, final = announced
+    hit = nba_final_label(secrets.alice, secrets.others[0], initial) == final
+    return 0.25 if hit else 0.0
 
 
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
@@ -374,6 +398,19 @@ def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
     return RunRecord(secrets, transcript, decoded)
 
 
+def jz_row(secrets: SecretAssignment) -> dict[tuple, float]:
+    """P(announced | secrets) over the four equally likely initial kets."""
+    alice, bob = secrets.alice[0], secrets.others[0][0]
+    return {(i, jz_outcome_label(alice, bob, i)): 0.25 for i in KET_LABELS}
+
+
+def jz_cell(secrets: SecretAssignment, announced: tuple) -> float:
+    """One entry of :func:`jz_row`, for the announced initial ket only."""
+    initial, outcome = announced
+    hit = jz_outcome_label(secrets.alice[0], secrets.others[0][0], initial) == outcome
+    return 0.25 if hit else 0.0
+
+
 def jz_decode(own: int, initial: str, outcome: str) -> int:
     """Counterpart's bit: whether the ket flipped, minus one's own flip."""
     if own not in (0, 1):
@@ -384,6 +421,22 @@ def jz_decode(own: int, initial: str, outcome: str) -> int:
         )
     flipped = int(initial != outcome)
     return flipped ^ own
+
+
+# --- OTP ----------------------------------------------------------------
+
+
+def otp_row(secrets: SecretAssignment) -> dict[tuple, float]:
+    """P(ciphertexts | plaintexts) over the two equally likely key bits."""
+    alice, bob = secrets.alice[0], secrets.others[0][0]
+    return {(str(alice ^ key), str(bob ^ key)): 0.5 for key in (0, 1)}
+
+
+def otp_cell(secrets: SecretAssignment, announced: tuple) -> float:
+    """One entry of :func:`otp_row`: one key bit explains the ciphertexts
+    exactly when their XOR equals the plaintexts' XOR."""
+    cipher_xor = int(announced[0]) ^ int(announced[1])
+    return 0.5 if secrets.alice[0] ^ secrets.others[0][0] == cipher_xor else 0.0
 
 
 # --- MXN ----------------------------------------------------------------
@@ -397,6 +450,13 @@ def mxn_ops_for_secrets(secrets: SecretAssignment) -> tuple[PauliOp, ...]:
         mxn_alice_op_for_bits(secrets.alice),
         *(flip_op_for_bit(b[0]) for b in secrets.others),
     )
+
+
+def two_party_ops(secrets: SecretAssignment) -> tuple[PauliOp, PauliOp]:
+    """The (alice, bob) operations encoding an NBA or JZ assignment."""
+    if secrets.protocol is Protocol.NBA:
+        return nba_op_for_bits(secrets.alice), nba_op_for_bits(secrets.others[0])
+    return flip_op_for_bit(secrets.alice[0]), flip_op_for_bit(secrets.others[0][0])
 
 
 def mxn_secrets_for_ops(ops: Sequence[PauliOp]) -> SecretAssignment:
@@ -580,11 +640,14 @@ def paired_bell_distribution(
     return dist
 
 
-def mxn_outcome_distribution(
-    secrets: SecretAssignment,
-) -> dict[tuple[BellLabel, ...], float]:
-    """Exact transcript distribution for one MXN assignment."""
+def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
+    """P(announced | secrets): the joint law of the N pair outcomes."""
     return paired_bell_distribution(mxn_encoded_state(secrets))
+
+
+def mxn_cell(secrets: SecretAssignment, announced: tuple) -> float:
+    """One entry of :func:`mxn_row`, following only the announced branch."""
+    return paired_bell_probability(mxn_encoded_state(secrets), announced)
 
 
 def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]:
@@ -614,3 +677,26 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
         )
     full = matches[0].full_bits
     return {j: full[j] for j in range(n) if j != party}
+
+
+# --- transcript channels ------------------------------------------------
+
+# protocol -> (row, cell) of P(announced | secrets)
+_CHANNELS = {
+    Protocol.NBA: (nba_row, nba_cell),
+    Protocol.JZ: (jz_row, jz_cell),
+    Protocol.OTP: (otp_row, otp_cell),
+    Protocol.MXN: (mxn_row, mxn_cell),
+}
+
+
+def channel_row(secrets: SecretAssignment) -> dict[tuple, float]:
+    """Every announced tuple the assignment can produce, with its
+    probability averaged over the public choices a run draws uniformly."""
+    return _CHANNELS[secrets.protocol][0](secrets)
+
+
+def channel_cell(secrets: SecretAssignment, announced: tuple) -> float:
+    """``channel_row(secrets).get(announced, 0.0)``, touching only the
+    public choice and the Bell branches the announced tuple names."""
+    return _CHANNELS[secrets.protocol][1](secrets, announced)

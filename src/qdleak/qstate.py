@@ -28,8 +28,7 @@ ATOL = 1e-9
 
 MAX_QUBITS = 12
 
-#: Single-qubit ket labels understood by :func:`ket` and emitted by
-#: :func:`ket_label_of`, in display order.
+#: Single-qubit ket labels understood by :func:`ket`, in display order.
 KET_LABELS = ("0", "1", "+", "-")
 
 
@@ -68,9 +67,6 @@ class StateVector:
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("StateVector is immutable")
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def tensor_view(self) -> np.ndarray:
         """Read-only view shaped (2,)*num_qubits, axis i = qubit i."""
@@ -145,13 +141,6 @@ class BellLabel(Enum):
             return cls(text)
         except ValueError:
             raise ValueError(f"unknown Bell label {text!r}") from None
-
-
-class Basis(Enum):
-    """Single-qubit measurement basis: Z = {|0>,|1>}, X = {|+>,|->}."""
-
-    Z = "z"
-    X = "x"
 
 
 @dataclass(frozen=True)
@@ -284,10 +273,11 @@ class BellOutcome(NamedTuple):
 def project_bell(state: StateVector, pair: tuple[int, int]) -> tuple[BellOutcome, ...]:
     """Measure two qubits in the Bell basis, removing them from the register.
 
-    Returns every outcome with probability above 1e-9, in BellLabel order.
-    The pair order matters: ``pair[0]`` plays the role of the Bell state's
-    first (more significant) qubit.  Probabilities over all four labels sum
-    to 1; dropped branches carry less than 1e-9 each.
+    Returns every outcome with probability above ``ATOL / 4``, in BellLabel
+    order.  The pair order matters: ``pair[0]`` plays the role of the Bell
+    state's first (more significant) qubit.  Probabilities over all four
+    labels sum to 1; at most three branches are dropped, so the returned
+    probabilities sum to 1 within ``ATOL``.
     """
     i, j = pair
     _check_qubit(state, i)
@@ -301,35 +291,11 @@ def project_bell(state: StateVector, pair: tuple[int, int]) -> tuple[BellOutcome
         # <bell| contracted onto qubits (i, j); Bell amplitudes are real.
         amp = np.tensordot(psi, bell.conj(), axes=([i, j], [0, 1]))
         prob = float(np.vdot(amp, amp).real)
-        if prob <= ATOL:
+        if prob <= ATOL / 4:
             continue
         rest = np.ascontiguousarray(amp).ravel() / np.sqrt(prob)
         outcomes.append(BellOutcome(label, prob, StateVector(rest)))
     return tuple(outcomes)
-
-
-def measure_qubit(
-    state: StateVector, qubit: int, basis: Basis, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projectively measure one qubit, keeping it in the register.
-
-    Returns (outcome bit, collapsed state).  In the X basis, bit 0 means
-    |+> and bit 1 means |->.  Consumes exactly one uniform draw from rng.
-    """
-    _check_qubit(state, qubit)
-    if basis is Basis.Z:
-        vecs = (_KET_VECTORS["0"], _KET_VECTORS["1"])
-    else:
-        vecs = (_KET_VECTORS["+"], _KET_VECTORS["-"])
-    psi = state.tensor_view()
-    amp0 = np.tensordot(psi, vecs[0].conj(), axes=([qubit], [0]))
-    p0 = float(np.vdot(amp0, amp0).real)
-    outcome = 0 if rng.random() < p0 else 1
-    amp = amp0 if outcome == 0 else np.tensordot(psi, vecs[1].conj(), axes=([qubit], [0]))
-    prob = p0 if outcome == 0 else 1.0 - p0
-    post = np.moveaxis(np.multiply.outer(vecs[outcome], amp), 0, qubit)
-    post = np.ascontiguousarray(post).ravel() / np.sqrt(prob)
-    return outcome, StateVector(post)
 
 
 def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
@@ -343,30 +309,9 @@ def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> boo
     return bool(np.allclose(a.amplitudes, phase * b.amplitudes, rtol=0.0, atol=atol))
 
 
-def bell_label_of(state: StateVector) -> Optional[BellLabel]:
-    """The Bell label phase-equivalent to a 2-qubit state, or None."""
-    if state.num_qubits != 2:
-        raise ValueError("bell_label_of needs a 2-qubit state")
-    for label in BellLabel:
-        if equal_up_to_phase(state, bell_state(label)):
-            return label
-    return None
-
-
 def ghz_label_of(state: StateVector) -> Optional[GhzLabel]:
     """The GHZ label phase-equivalent to a state, or None."""
     for label in all_ghz_labels(state.num_qubits):
         if equal_up_to_phase(state, ghz_state(label)):
-            return label
-    return None
-
-
-def ket_label_of(state: StateVector) -> Optional[str]:
-    """The single-qubit ket label ("0", "1", "+", "-") matching a state
-    up to phase, or None."""
-    if state.num_qubits != 1:
-        raise ValueError("ket_label_of needs a 1-qubit state")
-    for label in KET_LABELS:
-        if equal_up_to_phase(state, ket(label)):
             return label
     return None

@@ -16,13 +16,13 @@ from .protocols import (
     RunRecord,
     Transcript,
     bits_to_str,
-    flip_op_for_bit,
     ghz_after_ops,
     mxn_ops_for_secrets,
     nba_consistent_pairs,
     nba_op_for_bits,
+    two_party_ops,
 )
-from .qstate import BellLabel, PauliOp
+from .qstate import BellLabel
 
 SCHEMA_VERSION = "1.0"
 
@@ -274,7 +274,7 @@ def run_text(record: RunRecord, seed: int | None = None, verbose: bool = False) 
         lines.append(f"operations: {' '.join(op.text for op in ops)}")
         lines.append(f"encoded: {ghz_after_ops(ops).text}")
     if verbose and protocol is not Protocol.MXN:
-        ops = _two_party_ops(record)
+        ops = two_party_ops(record.secrets)
         lines.append(f"operations: {' '.join(op.text for op in ops)}")
     for i in range(n):
         recovered = " ".join(
@@ -283,15 +283,3 @@ def run_text(record: RunRecord, seed: int | None = None, verbose: bool = False) 
         )
         lines.append(f"{party_name(i)} recovers: {recovered}")
     return "\n".join(lines)
-
-
-def _two_party_ops(record: RunRecord) -> tuple[PauliOp, ...]:
-    if record.secrets.protocol is Protocol.NBA:
-        return (
-            nba_op_for_bits(record.secrets.alice),
-            nba_op_for_bits(record.secrets.others[0]),
-        )
-    return (
-        flip_op_for_bit(record.secrets.alice[0]),
-        flip_op_for_bit(record.secrets.others[0][0]),
-    )

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdleak.protocols import (
     BIT_PAIRS,
@@ -14,6 +16,8 @@ from qdleak.protocols import (
     all_secret_assignments,
     as_bits,
     bits_to_str,
+    channel_cell,
+    channel_row,
     deduce_ghz_from_bells,
     flip_op_for_bit,
     ghz_after_ops,
@@ -120,6 +124,68 @@ def test_transcript_validation():
         Transcript(Protocol.MXN, (BellLabel.PSI_PLUS,) * 7)
     with pytest.raises(TranscriptError):
         Transcript(Protocol.OTP, ("0", "+"))
+
+
+# protocol -> (min length, max length, symbols) of an announcement
+ANNOUNCEMENTS = {
+    Protocol.NBA: (2, 2, tuple(BellLabel)),
+    Protocol.JZ: (2, 2, ("0", "1", "+", "-")),
+    Protocol.OTP: (2, 2, ("0", "1")),
+    Protocol.MXN: (2, 6, tuple(BellLabel)),
+}
+
+_ANY_SYMBOL = st.one_of(
+    st.sampled_from(list(BellLabel)),
+    st.sampled_from(["0", "1", "+", "-"]),
+    st.text(max_size=4),
+    st.integers(),
+)
+
+
+@st.composite
+def announcements(draw):
+    """A protocol and a tuple of strings, ints and Bell labels, drawn so
+    that about a third of them are well formed."""
+    protocol = draw(st.sampled_from(list(Protocol)))
+    lo, hi, symbols = ANNOUNCEMENTS[protocol]
+    length = draw(st.one_of(st.integers(lo, hi), st.integers(0, 8)))
+    element = st.sampled_from(symbols)
+    if draw(st.booleans()):
+        element = st.one_of(element, _ANY_SYMBOL)
+    return protocol, tuple(draw(element) for _ in range(length))
+
+
+@given(announcements())
+@settings(max_examples=300, deadline=None)
+def test_transcript_accepts_exactly_well_formed_announcements(drawn):
+    protocol, announced = drawn
+    lo, hi, symbols = ANNOUNCEMENTS[protocol]
+    well_formed = lo <= len(announced) <= hi and all(
+        any(type(x) is type(s) and x == s for s in symbols) for x in announced
+    )
+    try:
+        transcript = Transcript(protocol, announced)
+    except TranscriptError:
+        assert not well_formed
+    else:
+        assert well_formed
+        assert transcript.announced == announced
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [(Protocol.NBA, 2), (Protocol.JZ, 2), (Protocol.OTP, 2), (Protocol.MXN, 3)],
+)
+def test_channel_cell_is_the_row_entry(protocol, parties):
+    """For every assignment and every tuple of the announced alphabet, the
+    single-transcript cell equals the row's entry (0 where it has none)."""
+    symbols = ANNOUNCEMENTS[protocol][2]
+    for secrets in all_secret_assignments(protocol, parties):
+        row = channel_row(secrets)
+        assert sum(row.values()) == pytest.approx(1.0, abs=ATOL)
+        for announced in itertools.product(symbols, repeat=parties):
+            want = row.get(announced, 0.0)
+            assert channel_cell(secrets, announced) == pytest.approx(want, abs=ATOL)
 
 
 # --- coding alphabets --------------------------------------------------
