@@ -6,7 +6,7 @@ Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
 Each protocol also has its transcript channel here, P(announced | secrets):
 a row (the whole distribution for one assignment) and a cell (one entry of
-it, computed along the announced branch only), reached through
+it, computed for the announced tuple only), reached through
 :func:`channel_row` and :func:`channel_cell`.  What an outside observer can
 infer from the announcements is the business of :mod:`qdleak.leakage`.
 
@@ -29,8 +29,16 @@ Protocols:
   the ciphertexts.  It exists so the leakage module can compare structures;
   it has a channel but no run function.
 
-All run functions are deterministic given their arguments (plus the rng for
-MXN, which consumes one uniform draw per pair measurement, in pair order).
+MXN's N pair measurements commute, so their joint outcome law is one table,
+|<B_1 ... B_N | psi>|^2 over all 4^N label tuples, which one contraction of
+the encoded state against the Bell basis gives.  A run samples from that
+table, the cell is one inner product with the announced Bell vectors, and
+the GHZ label behind an announcement is one small contraction per tuple.
+The audit row still walks :func:`~qdleak.qstate.project_bell` branch by
+branch, and that walk is what tests hold the faster paths to.
+
+All run functions are deterministic given their arguments, plus the rng for
+MXN, which consumes exactly one uniform draw per pair, in pair order.
 """
 
 from __future__ import annotations
@@ -526,34 +534,81 @@ def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
     return state
 
 
+_BELL_LABELS = tuple(BellLabel)
+# Row k is the k-th label's Bell vector: the change of basis from a pair's
+# computational index 2a+b to its Bell label.
+_BELL_BASIS = np.array([bell_state(label).amplitudes for label in _BELL_LABELS])
+
+
+def _joint_bell_amplitudes(state: StateVector) -> np.ndarray:
+    """<B_1 ... B_N | psi> for every label tuple at once, measuring pairs
+    (i, N+i) of a 2N-qubit state: shaped (4,)*N, axis k holding pair k's
+    label in BellLabel order."""
+    n = state.num_qubits // 2
+    pair_order = [axis for i in range(n) for axis in (i, n + i)]
+    amps = state.tensor_view().transpose(pair_order).reshape(4, -1)
+    for _ in range(n):
+        # Trade the leading pair axis for its label axis, placed last; after
+        # N rounds the label axes are back in pair order.
+        amps = (_BELL_BASIS.conj() @ amps).T.reshape(4, -1)
+    return amps.reshape((4,) * n)
+
+
 def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     """Execute one MXN dialogue: encode, measure pairs (i, N+i) in pair
-    order (sampling each branch), announce the labels, decode per party."""
+    order, announce the labels, decode per party.
+
+    The measurement samples from the joint Bell-outcome table of the
+    encoded state: pair by pair, one ``rng.random()`` per pair against the
+    conditional law of that pair's label given the labels so far, in
+    BellLabel order, skipping labels of conditional probability at most
+    ``ATOL / 4`` and falling back to the last label kept.  That is the draw
+    :func:`~qdleak.qstate.project_bell` collapse by collapse would make, so
+    a seed gives the same transcript either way.  The announced tuple is
+    then turned into its GHZ label once, and every party decodes from it."""
     n = secrets.num_parties
     if not 3 <= n <= 6:
         raise ValueError(f"run_mxn supports 3..6 parties, got {n}")
-    state = mxn_encoded_state(secrets)
+    probs = np.abs(_joint_bell_amplitudes(mxn_encoded_state(secrets))) ** 2
     labels = []
-    for step in range(n):
-        # After `step` pair measurements the register holds qubits
-        # step..N-1 and N+step..2N-1, so pair (step, N+step) of the
-        # original numbering sits at local indices (0, N-step).
-        outcomes = project_bell(state, (0, n - step))
+    for _ in range(n):
+        marginal = probs.reshape(4, -1).sum(axis=1)
         u = rng.random()
         acc = 0.0
-        chosen = outcomes[-1]
-        for branch in outcomes:
-            acc += branch.probability
+        for index, prob in enumerate(marginal / marginal.sum()):
+            if prob <= ATOL / 4:
+                continue
+            chosen = index
+            acc += prob
             if u < acc:
-                chosen = branch
                 break
-        labels.append(chosen.label)
-        state = chosen.state
+        labels.append(_BELL_LABELS[chosen])
+        probs = probs[chosen]
     transcript = Transcript(Protocol.MXN, tuple(labels))
+    (label,) = deduce_ghz_from_bells(transcript.announced)
     decoded = tuple(
-        mxn_decode(party, secrets.party_bits(party), transcript) for party in range(n)
+        _decode_from_label(label, party, secrets.party_bits(party)) for party in range(n)
     )
     return RunRecord(secrets, transcript, decoded)
+
+
+def _announced_bells(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
+    """The kron of the announced Bell vectors, pair i on qubits (i, N+i),
+    in register order and shaped (2^N, 2^N): qubits 0..N-1 by N..2N-1."""
+    n = len(outcomes)
+    kron = functools.reduce(
+        np.multiply.outer, (bell_state(label).amplitudes for label in outcomes)
+    )
+    register_order = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]
+    return kron.reshape((2,) * (2 * n)).transpose(register_order).reshape(2**n, 2**n)
+
+
+@functools.lru_cache(maxsize=None)
+def _ghz_basis(n: int) -> np.ndarray:
+    """Row k is the k-th GHZ basis vector of :func:`all_ghz_labels`."""
+    basis = np.array([ghz_state(label).amplitudes for label in all_ghz_labels(n)])
+    basis.setflags(write=False)
+    return basis
 
 
 def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
@@ -563,60 +618,42 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     nonzero probability on the doubled state (all-zero multiplet tensor the
     labelled multiplet).  The pair projectors act on disjoint qubits and
     commute, so the joint probability is the single inner product
-    |<B_1 ... B_N | psi>|^2, which this computes directly.  Every
-    well-formed tuple turns out to be consistent with exactly one label; the
-    empty-set error exists for defensive completeness."""
+    |<B_1 ... B_N | ghz_0 ghz_label>|^2.  It is taken for all 2^N labels in
+    one small contraction: the announced Bell kron against the all-zero
+    multiplet, then against the GHZ basis.  Every well-formed tuple turns
+    out to be consistent with exactly one label; the empty-set error exists
+    for defensive completeness."""
     outcomes = tuple(outcomes)
     n = len(outcomes)
     if not 2 <= n <= 6:
         raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    bell_vec = functools.reduce(
-        np.kron, (bell_state(label).amplitudes for label in outcomes)
-    )
-    consistent = set()
-    for label in all_ghz_labels(n):
-        amp = np.vdot(bell_vec, _pair_ordered_doubled_ghz(label))
-        if float(abs(amp) ** 2) > ATOL:
-            consistent.add(label)
+    home = ghz_state(GhzLabel(0, (0,) * (n - 1))).amplitudes
+    amps = _ghz_basis(n) @ (home @ _announced_bells(outcomes).conj())
+    consistent = {
+        label
+        for label, amp in zip(all_ghz_labels(n), amps)
+        if float(abs(amp) ** 2) > ATOL
+    }
     if not consistent:
         raise TranscriptError(f"no GHZ label is consistent with {outcomes!r}")
     return consistent
-
-
-@functools.lru_cache(maxsize=None)
-def _pair_ordered_doubled_ghz(label: GhzLabel) -> np.ndarray:
-    """ghz_0 tensor ghz_label with axes permuted to (0,N,1,N+1,...) so pair
-    amplitudes line up with a kron of Bell vectors."""
-    n = label.num_qubits
-    state = tensor(ghz_state(GhzLabel(0, (0,) * (n - 1))), ghz_state(label))
-    perm = [axis for i in range(n) for axis in (i, n + i)]
-    vec = state.tensor_view().transpose(perm).ravel()
-    vec = np.ascontiguousarray(vec)
-    vec.setflags(write=False)
-    return vec
 
 
 def paired_bell_probability(
     state: StateVector, outcomes: Sequence[BellLabel]
 ) -> float:
     """Probability of a specific Bell-label tuple when measuring pairs
-    (i, N+i) of a 2N-qubit state, following the collapse branch by branch.
-    Returns 0.0 as soon as the branch dies."""
+    (i, N+i) of a 2N-qubit state: |<B_1 ... B_N | psi>|^2, one inner
+    product.  Like the branch walk of :func:`paired_bell_distribution`, it
+    counts a probability of at most ``ATOL / 4`` as 0.0."""
     outcomes = tuple(outcomes)
     n = state.num_qubits // 2
     if state.num_qubits != 2 * n or len(outcomes) != n:
         raise ValueError("state must hold 2N qubits and outcomes N labels")
-    prob = 1.0
-    for step, wanted in enumerate(outcomes):
-        by_label = {b.label: b for b in project_bell(state, (0, n - step))}
-        if wanted not in by_label:
-            return 0.0
-        branch = by_label[wanted]
-        prob *= branch.probability
-        state = branch.state
-    return prob
+    prob = float(abs(np.vdot(_announced_bells(outcomes), state.amplitudes)) ** 2)
+    return prob if prob > ATOL / 4 else 0.0
 
 
 def paired_bell_distribution(
@@ -646,7 +683,8 @@ def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
 
 
 def mxn_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """One entry of :func:`mxn_row`, following only the announced branch."""
+    """One entry of :func:`mxn_row`: one inner product with the announced
+    Bell vectors."""
     return paired_bell_probability(mxn_encoded_state(secrets), announced)
 
 
@@ -666,17 +704,29 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     if len(labels) != 1:
         raise TranscriptError(f"announcement does not pin down one GHZ label: {labels!r}")
     (label,) = labels
+    return _decode_from_label(label, party, own)
+
+
+@functools.lru_cache(maxsize=None)
+def _assignments_for_label(label: GhzLabel) -> tuple[SecretAssignment, ...]:
+    """The two assignments encoding ``label``, as secrets."""
+    return tuple(map(mxn_secrets_for_ops, op_tuples_for_label(label)))
+
+
+def _decode_from_label(label: GhzLabel, party: int, own: Bits) -> dict[int, Bits]:
+    """Every other party's bits, read from the one assignment encoding
+    ``label`` whose ``party`` bits are ``own``."""
     matches = [
-        mxn_secrets_for_ops(ops)
-        for ops in op_tuples_for_label(label)
-        if mxn_secrets_for_ops(ops).party_bits(party) == tuple(own)
+        secrets
+        for secrets in _assignments_for_label(label)
+        if secrets.party_bits(party) == tuple(own)
     ]
     if len(matches) != 1:
         raise TranscriptError(
             f"{len(matches)} assignments consistent with own bits {bits_to_str(own)}"
         )
     full = matches[0].full_bits
-    return {j: full[j] for j in range(n) if j != party}
+    return {j: full[j] for j in range(len(full)) if j != party}
 
 
 # --- transcript channels ------------------------------------------------
@@ -697,6 +747,6 @@ def channel_row(secrets: SecretAssignment) -> dict[tuple, float]:
 
 
 def channel_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """``channel_row(secrets).get(announced, 0.0)``, touching only the
-    public choice and the Bell branches the announced tuple names."""
+    """``channel_row(secrets).get(announced, 0.0)``, computing only the
+    entry the announced tuple names."""
     return _CHANNELS[secrets.protocol][1](secrets, announced)

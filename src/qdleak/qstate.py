@@ -101,13 +101,6 @@ class PauliOp(Enum):
     def text(self) -> str:
         return self.value
 
-    @classmethod
-    def from_text(cls, text: str) -> "PauliOp":
-        try:
-            return cls(text)
-        except ValueError:
-            raise ValueError(f"unknown operation label {text!r}") from None
-
 
 _PAULI_MATRICES = {
     PauliOp.I: np.eye(2, dtype=np.complex128),
@@ -180,15 +173,11 @@ class GhzLabel:
             raise ValueError("a GHZ label needs at least two bits")
         return cls(seq[0], seq[1:])
 
-    @classmethod
-    def from_text(cls, text: str) -> "GhzLabel":
-        if not text.startswith("ghz_") or not set(text[4:]) <= {"0", "1"}:
-            raise ValueError(f"unknown GHZ label {text!r}")
-        return cls.from_bits(int(c) for c in text[4:])
 
-
+@functools.lru_cache(maxsize=None)
 def all_ghz_labels(num_qubits: int) -> tuple[GhzLabel, ...]:
-    """All 2^n GHZ labels on ``num_qubits`` qubits, in bit-string order."""
+    """All 2^n GHZ labels on ``num_qubits`` qubits, in bit-string order
+    (built once per width; the labels are frozen, so callers share them)."""
     if not 2 <= num_qubits <= MAX_QUBITS:
         raise ValueError(f"num_qubits must be in 2..{MAX_QUBITS}, got {num_qubits}")
     labels = []
@@ -310,8 +299,21 @@ def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> boo
 
 
 def ghz_label_of(state: StateVector) -> Optional[GhzLabel]:
-    """The GHZ label phase-equivalent to a state, or None."""
-    for label in all_ghz_labels(state.num_qubits):
-        if equal_up_to_phase(state, ghz_state(label)):
-            return label
-    return None
+    """The GHZ label phase-equivalent to a state, or None.
+
+    A GHZ state's two amplitudes sit at complementary indices (0, y) and
+    (1, ~y); the largest amplitude names that pair, their ratio's sign
+    names x, and one phase comparison confirms the guess."""
+    n = state.num_qubits
+    if n < 2:
+        raise ValueError(f"a GHZ label needs 2..{MAX_QUBITS} qubits, got {n}")
+    amps = state.amplitudes
+    mask = 2**n - 1
+    lo = int(np.argmax(np.abs(amps)))
+    if lo >> (n - 1):
+        lo ^= mask
+    if abs(amps[lo]) <= ATOL:
+        return None
+    x = int((amps[lo ^ mask] / amps[lo]).real < 0)
+    label = GhzLabel(x, tuple((lo >> (n - 2 - i)) & 1 for i in range(n - 1)))
+    return label if equal_up_to_phase(state, ghz_state(label)) else None

@@ -52,6 +52,7 @@ from qdleak.qstate import (
     equal_up_to_phase,
     ghz_state,
     make_rng,
+    project_bell,
     tensor,
 )
 
@@ -174,7 +175,13 @@ def test_transcript_accepts_exactly_well_formed_announcements(drawn):
 
 @pytest.mark.parametrize(
     "protocol, parties",
-    [(Protocol.NBA, 2), (Protocol.JZ, 2), (Protocol.OTP, 2), (Protocol.MXN, 3)],
+    [
+        (Protocol.NBA, 2),
+        (Protocol.JZ, 2),
+        (Protocol.OTP, 2),
+        (Protocol.MXN, 3),
+        (Protocol.MXN, 4),
+    ],
 )
 def test_channel_cell_is_the_row_entry(protocol, parties):
     """For every assignment and every tuple of the announced alphabet, the
@@ -430,6 +437,47 @@ def test_run_mxn_decodes_correctly_across_seeds():
                     j: secrets.party_bits(j) for j in range(3) if j != party
                 }
                 assert record.decoded[party] == expected
+
+
+def engine_replay_announced(secrets, rng):
+    """Reference sampler: collapse the encoded state pair by pair with the
+    engine's Bell projection, one rng.random() per pair, taking the first
+    branch whose running probability exceeds the draw (else the last)."""
+    n = secrets.num_parties
+    state = mxn_encoded_state(secrets)
+    labels = []
+    for step in range(n):
+        outcomes = project_bell(state, (0, n - step))
+        u = rng.random()
+        acc = 0.0
+        chosen = outcomes[-1]
+        for branch in outcomes:
+            acc += branch.probability
+            if u < acc:
+                chosen = branch
+                break
+        labels.append(chosen.label)
+        state = chosen.state
+    return tuple(labels)
+
+
+@pytest.mark.parametrize("parties, seeds", [(3, 5), (4, 5), (5, 2), (6, 2)])
+def test_run_mxn_replays_the_engine_collapse(parties, seeds):
+    """run_mxn samples from the joint Bell table; it must announce what the
+    engine's branch-by-branch collapse announces for the same seed, use the
+    same draws, and decode the true bits for every party."""
+    for secrets in all_secret_assignments(Protocol.MXN, parties):
+        for seed in range(seeds):
+            rng, reference_rng = make_rng(seed), make_rng(seed)
+            record = run_mxn(secrets, rng)
+            assert record.transcript.announced == engine_replay_announced(
+                secrets, reference_rng
+            )
+            assert rng.random() == reference_rng.random()
+            for party in range(parties):
+                assert record.decoded[party] == {
+                    j: secrets.party_bits(j) for j in range(parties) if j != party
+                }
 
 
 def test_run_mxn_transcripts_follow_the_exact_distribution():
