@@ -9,6 +9,15 @@ front end).  Everything is deterministic given a seed; see
 :func:`qdleak.qstate.make_rng`.
 """
 
+import os
+
+# The state vectors are small, so numpy's BLAS gains nothing from helper
+# threads, which spin and burn CPU.  Pin one thread unless the user chose
+# otherwise; this has to run before numpy is first imported.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .qstate import (
     ATOL,
     BellLabel,

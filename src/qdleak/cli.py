@@ -25,6 +25,7 @@ from typing import Sequence
 from . import report as report_mod
 from .leakage import leakage_report
 from .protocols import (
+    MXN_PARTIES,
     Protocol,
     TranscriptError,
     as_bits,
@@ -42,6 +43,9 @@ class UsageError(Exception):
     pass
 
 
+_MXN_RANGE = f"{MXN_PARTIES[0]}..{MXN_PARTIES[-1]}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdleak",
@@ -57,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--others", help="mxn: comma-separated single bits for parties 1..N-1"
     )
-    run.add_argument("--parties", type=int, help="mxn: total party count, 3..6")
+    run.add_argument("--parties", type=int, help=f"mxn: total party count, {_MXN_RANGE}")
     run.add_argument(
         "--initial", help="nba: phi+/phi-/psi+/psi-; jz: 0/1/+/-"
     )
@@ -69,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--protocol", required=True, choices=["nba", "jz", "mxn", "otp"]
     )
-    analyze.add_argument("--parties", type=int, help="mxn: total party count, 3..6")
+    analyze.add_argument("--parties", type=int, help=f"mxn: total party count, {_MXN_RANGE}")
     analyze.add_argument("--format", choices=["text", "json"], default="text")
 
     sub.add_parser("table1", help="coding table for the Bell-pair dialogue")
@@ -119,7 +123,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         _reject(args.initial is not None, "--initial does not apply to mxn")
         _reject(args.parties is None, "--parties is required for mxn")
         _reject(
-            not 3 <= args.parties <= 6, f"--parties must be in 3..6, got {args.parties}"
+            args.parties not in MXN_PARTIES,
+            f"--parties must be in {_MXN_RANGE}, got {args.parties}",
         )
         alice = _parse_bits(args.alice, 2, "--alice")
         _reject(args.others is None, "--others is required for mxn")
@@ -147,7 +152,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     if protocol is Protocol.MXN:
         _reject(args.parties is None, "--parties is required for mxn")
         _reject(
-            not 3 <= args.parties <= 6, f"--parties must be in 3..6, got {args.parties}"
+            args.parties not in MXN_PARTIES,
+            f"--parties must be in {_MXN_RANGE}, got {args.parties}",
         )
         rep = leakage_report(protocol, args.parties)
     else:

@@ -5,11 +5,12 @@ knows the protocol completely, and holds no quantum access.  Starting from a
 uniform prior over all secret assignments, the posterior keeps exactly the
 assignments that could have produced the announced transcript, weighted by
 the probability of producing it.  That probability, P(announced | secrets),
-is each protocol's transcript channel, read from :mod:`qdleak.protocols`
-(:func:`~qdleak.protocols.channel_row` for a whole audit,
-:func:`~qdleak.protocols.channel_cell` for one transcript); nothing here
-depends on how a protocol produces its announcements.  Leakage is quantified
-in bits:
+is each protocol's transcript channel, read from :mod:`qdleak.protocols`:
+an audit reads the whole table row by row
+(:func:`~qdleak.protocols.channel_row`), a single transcript's posterior
+is one column of it (:func:`~qdleak.protocols.channel_column`).  Nothing
+here depends on how a protocol produces its announcements.  Leakage is
+quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
 
@@ -30,13 +31,14 @@ from typing import Iterable
 import numpy as np
 
 from .protocols import (
+    MXN_PARTIES,
     Protocol,
     SecretAssignment,
     Transcript,
     TranscriptError,
     all_secret_assignments,
     basis_labels_of,
-    channel_cell,
+    channel_column,
     channel_row,
     total_secret_bits,
 )
@@ -91,15 +93,20 @@ class Posterior:
 
 
 
+def _check_mxn_parties(parties: int | None) -> None:
+    if parties not in MXN_PARTIES:
+        raise ValueError(
+            f"mxn audits need parties in {MXN_PARTIES[0]}..{MXN_PARTIES[-1]}"
+        )
+
+
 def eve_posterior(transcript: Transcript) -> Posterior:
     """Posterior over all secret assignments given one public transcript,
-    starting from a uniform prior."""
-    announced = transcript.announced
-    weighted = (
-        (s, channel_cell(s, announced))
-        for s in all_secret_assignments(transcript.protocol, len(announced))
-    )
-    return Posterior.from_weights(weighted)
+    starting from a uniform prior: the transcript's column of the channel,
+    normalized."""
+    if transcript.protocol is Protocol.MXN:
+        _check_mxn_parties(len(transcript.announced))
+    return Posterior.from_weights(channel_column(transcript).items())
 
 
 def nba_xor_constraint(transcript: Transcript) -> tuple[int, int]:
@@ -192,8 +199,7 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     uniform secrets (and uniform initial state / key where one exists) and
     audit each one's posterior."""
     if protocol is Protocol.MXN:
-        if parties is None or not 3 <= parties <= 6:
-            raise ValueError("mxn audits need parties in 3..6")
+        _check_mxn_parties(parties)
     elif parties not in (None, 2):
         raise ValueError(f"{protocol.text} has a fixed party count of 2")
     else:

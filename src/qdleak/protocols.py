@@ -4,11 +4,13 @@ The three protocols share one shape: one party prepares a quantum resource,
 ships part of it around, every party encodes its secret bits with local
 Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
-Each protocol also has its transcript channel here, P(announced | secrets):
-a row (the whole distribution for one assignment) and a cell (one entry of
-it, computed for the announced tuple only), reached through
-:func:`channel_row` and :func:`channel_cell`.  What an outside observer can
-infer from the announcements is the business of :mod:`qdleak.leakage`.
+Each protocol also has its transcript channel here, P(announced | secrets),
+as a table with one row per assignment and one column per announced tuple:
+a row is the whole distribution for one assignment, a column every
+assignment that can produce one announced tuple, with its probability.
+They are reached through :func:`channel_row` and :func:`channel_column`.
+What an outside observer can infer from the announcements is the business
+of :mod:`qdleak.leakage`.
 
 Protocols:
 
@@ -32,10 +34,14 @@ Protocols:
 MXN's N pair measurements commute, so their joint outcome law is one table,
 |<B_1 ... B_N | psi>|^2 over all 4^N label tuples, which one contraction of
 the encoded state against the Bell basis gives.  A run samples from that
-table, the cell is one inner product with the announced Bell vectors, and
-the GHZ label behind an announcement is one small contraction per tuple.
-The audit row still walks :func:`~qdleak.qstate.project_bell` branch by
-branch, and that walk is what tests hold the faster paths to.
+table.  The encoded state is the all-zero multiplet tensor the multiplet
+of the secrets' GHZ label, up to a global phase, so one small contraction
+per announced tuple gives that tuple's probability under every GHZ label:
+it names the label a run decodes from, and it is the column, each label's
+probability shared by the two assignments encoding it.  The audit row still
+walks :func:`~qdleak.qstate.project_bell` branch by branch, and that walk,
+with :func:`paired_bell_probability` on :func:`mxn_encoded_state`, is what
+tests hold the faster paths to.
 
 All run functions are deterministic given their arguments, plus the rng for
 MXN, which consumes exactly one uniform draw per pair, in pair order.
@@ -142,6 +148,11 @@ class SecretAssignment:
     def party_bits(self, party: int) -> Bits:
         return self.full_bits[party]
 
+
+# The party counts MXN runs, audits and posteriors accept.  Assignments,
+# transcripts and the GHZ helpers also take N=2, where criterion 8 checks
+# the entanglement swap.
+MXN_PARTIES = range(3, 7)
 
 # (alice width, other width, min others, max others)
 _SECRET_SHAPE = {
@@ -323,11 +334,10 @@ def nba_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return {(i, nba_final_label(alice, bob, i)): 0.25 for i in BellLabel}
 
 
-def nba_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """One entry of :func:`nba_row`, for the announced initial label only."""
-    initial, final = announced
-    hit = nba_final_label(secrets.alice, secrets.others[0], initial) == final
-    return 0.25 if hit else 0.0
+def nba_column(announced: tuple) -> dict[SecretAssignment, float]:
+    """The assignments whose :func:`nba_row` holds the announced (initial,
+    final) pair, each at the initial label's 0.25."""
+    return {nba_secrets(a, b): 0.25 for a, b in nba_consistent_pairs(*announced)}
 
 
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
@@ -412,11 +422,16 @@ def jz_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return {(i, jz_outcome_label(alice, bob, i)): 0.25 for i in KET_LABELS}
 
 
-def jz_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """One entry of :func:`jz_row`, for the announced initial ket only."""
+def jz_column(announced: tuple) -> dict[SecretAssignment, float]:
+    """The assignments whose :func:`jz_row` holds the announced (initial,
+    outcome) pair, each at the initial ket's 0.25; none for an outcome
+    outside the preparation basis."""
     initial, outcome = announced
-    hit = jz_outcome_label(secrets.alice[0], secrets.others[0][0], initial) == outcome
-    return 0.25 if hit else 0.0
+    return {
+        s: 0.25
+        for s in all_secret_assignments(Protocol.JZ)
+        if jz_outcome_label(s.alice[0], s.others[0][0], initial) == outcome
+    }
 
 
 def jz_decode(own: int, initial: str, outcome: str) -> int:
@@ -440,11 +455,11 @@ def otp_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return {(str(alice ^ key), str(bob ^ key)): 0.5 for key in (0, 1)}
 
 
-def otp_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """One entry of :func:`otp_row`: one key bit explains the ciphertexts
-    exactly when their XOR equals the plaintexts' XOR."""
-    cipher_xor = int(announced[0]) ^ int(announced[1])
-    return 0.5 if secrets.alice[0] ^ secrets.others[0][0] == cipher_xor else 0.0
+def otp_column(announced: tuple) -> dict[SecretAssignment, float]:
+    """The plaintext pairs the announced ciphertexts decrypt to, one per
+    key bit, each at 0.5."""
+    cipher_a, cipher_b = map(int, announced)
+    return {otp_secrets(cipher_a ^ key, cipher_b ^ key): 0.5 for key in (0, 1)}
 
 
 # --- MXN ----------------------------------------------------------------
@@ -567,8 +582,10 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     a seed gives the same transcript either way.  The announced tuple is
     then turned into its GHZ label once, and every party decodes from it."""
     n = secrets.num_parties
-    if not 3 <= n <= 6:
-        raise ValueError(f"run_mxn supports 3..6 parties, got {n}")
+    if n not in MXN_PARTIES:
+        raise ValueError(
+            f"run_mxn supports {MXN_PARTIES[0]}..{MXN_PARTIES[-1]} parties, got {n}"
+        )
     probs = np.abs(_joint_bell_amplitudes(mxn_encoded_state(secrets))) ** 2
     labels = []
     for _ in range(n):
@@ -611,31 +628,34 @@ def _ghz_basis(n: int) -> np.ndarray:
     return basis
 
 
+def _ghz_label_probabilities(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
+    """|<B_1 ... B_N | ghz_0 ghz_label>|^2 for every label of
+    :func:`~qdleak.qstate.all_ghz_labels`, in its order: the probability of
+    the announced tuple when pairs (i, N+i) of the all-zero multiplet
+    tensor the labelled one are measured.  The pair projectors act on
+    disjoint qubits and commute, so each is a single inner product; all
+    2^N come from the announced Bell kron against the all-zero multiplet
+    (row 0 of the GHZ basis), then against the GHZ basis."""
+    basis = _ghz_basis(len(outcomes))
+    return np.abs(basis @ (basis[0] @ _announced_bells(outcomes).conj())) ** 2
+
+
 def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     """GHZ labels consistent with an announced Bell-outcome tuple.
 
     A label is consistent when the joint pair-measurement outcome has
     nonzero probability on the doubled state (all-zero multiplet tensor the
-    labelled multiplet).  The pair projectors act on disjoint qubits and
-    commute, so the joint probability is the single inner product
-    |<B_1 ... B_N | ghz_0 ghz_label>|^2.  It is taken for all 2^N labels in
-    one small contraction: the announced Bell kron against the all-zero
-    multiplet, then against the GHZ basis.  Every well-formed tuple turns
-    out to be consistent with exactly one label; the empty-set error exists
-    for defensive completeness."""
+    labelled multiplet), as :func:`_ghz_label_probabilities` gives it.
+    Every well-formed tuple turns out to be consistent with exactly one
+    label; the empty-set error exists for defensive completeness."""
     outcomes = tuple(outcomes)
     n = len(outcomes)
     if not 2 <= n <= 6:
         raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    home = ghz_state(GhzLabel(0, (0,) * (n - 1))).amplitudes
-    amps = _ghz_basis(n) @ (home @ _announced_bells(outcomes).conj())
-    consistent = {
-        label
-        for label, amp in zip(all_ghz_labels(n), amps)
-        if float(abs(amp) ** 2) > ATOL
-    }
+    probs = _ghz_label_probabilities(outcomes)
+    consistent = {label for label, prob in zip(all_ghz_labels(n), probs) if prob > ATOL}
     if not consistent:
         raise TranscriptError(f"no GHZ label is consistent with {outcomes!r}")
     return consistent
@@ -682,10 +702,20 @@ def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return paired_bell_distribution(mxn_encoded_state(secrets))
 
 
-def mxn_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """One entry of :func:`mxn_row`: one inner product with the announced
-    Bell vectors."""
-    return paired_bell_probability(mxn_encoded_state(secrets), announced)
+def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
+    """The assignments whose :func:`mxn_row` holds the announced tuple: the
+    two encoding each GHZ label the tuple can come from, at that label's
+    probability.  The encoded state is the all-zero multiplet tensor the
+    label's multiplet up to a global phase, so no assignment's state is
+    built.  Like the row's branch walk, a probability of at most
+    ``ATOL / 4`` counts as 0.0."""
+    probs = _ghz_label_probabilities(announced)
+    return {
+        secrets: float(prob)
+        for label, prob in zip(all_ghz_labels(len(announced)), probs)
+        if prob > ATOL / 4
+        for secrets in _assignments_for_label(label)
+    }
 
 
 def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]:
@@ -731,12 +761,12 @@ def _decode_from_label(label: GhzLabel, party: int, own: Bits) -> dict[int, Bits
 
 # --- transcript channels ------------------------------------------------
 
-# protocol -> (row, cell) of P(announced | secrets)
+# protocol -> (row, column) of P(announced | secrets)
 _CHANNELS = {
-    Protocol.NBA: (nba_row, nba_cell),
-    Protocol.JZ: (jz_row, jz_cell),
-    Protocol.OTP: (otp_row, otp_cell),
-    Protocol.MXN: (mxn_row, mxn_cell),
+    Protocol.NBA: (nba_row, nba_column),
+    Protocol.JZ: (jz_row, jz_column),
+    Protocol.OTP: (otp_row, otp_column),
+    Protocol.MXN: (mxn_row, mxn_column),
 }
 
 
@@ -746,7 +776,8 @@ def channel_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return _CHANNELS[secrets.protocol][0](secrets)
 
 
-def channel_cell(secrets: SecretAssignment, announced: tuple) -> float:
-    """``channel_row(secrets).get(announced, 0.0)``, computing only the
-    entry the announced tuple names."""
-    return _CHANNELS[secrets.protocol][1](secrets, announced)
+def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
+    """Every assignment that can produce the transcript, with
+    ``channel_row(secrets)[transcript.announced]``, computed from the
+    announced tuple without building any row."""
+    return _CHANNELS[transcript.protocol][1](transcript.announced)

@@ -12,6 +12,7 @@ from typing import Any
 
 from .leakage import LeakageReport, Posterior
 from .protocols import (
+    MXN_PARTIES,
     Protocol,
     RunRecord,
     Transcript,
@@ -104,6 +105,11 @@ def run_document(record: RunRecord, seed: int | None = None) -> dict[str, Any]:
 
 
 _NUMBER = {"type": "number"}
+_MXN_PARTIES_SCHEMA = {
+    "type": "integer",
+    "minimum": MXN_PARTIES[0],
+    "maximum": MXN_PARTIES[-1],
+}
 
 LEAKAGE_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -117,7 +123,7 @@ LEAKAGE_SCHEMA: dict[str, Any] = {
         "params": {
             "type": "object",
             "additionalProperties": False,
-            "properties": {"parties": {"type": "integer", "minimum": 2, "maximum": 6}},
+            "properties": {"parties": _MXN_PARTIES_SCHEMA},
         },
         "totals": {
             "type": "object",
@@ -190,7 +196,7 @@ RUN_SCHEMA: dict[str, Any] = {
             "type": "object",
             "additionalProperties": False,
             "properties": {
-                "parties": {"type": "integer", "minimum": 3, "maximum": 6},
+                "parties": _MXN_PARTIES_SCHEMA,
                 "seed": {"type": "integer"},
             },
         },

@@ -30,6 +30,7 @@ from qdleak.protocols import (
     Transcript,
     TranscriptError,
     all_secret_assignments,
+    channel_column,
     jz_outcome_label,
     mxn_encoded_state,
     mxn_secrets,
@@ -189,8 +190,8 @@ def test_mxn_posterior_is_the_complement_pair():
 
 
 def test_mxn_posterior_matches_rerun_weights_exhaustively():
-    """Dual route at N=3: direct per-assignment branch-following versus the
-    report pipeline must give identical posteriors on all 64 transcripts."""
+    """Dual route at N=3: the transcript's channel column versus the report
+    pipeline must give identical posteriors on all 64 transcripts."""
     report = leakage_report(Protocol.MXN, 3)
     assert len(report.per_transcript) == 64
     for entry in report.per_transcript:
@@ -202,6 +203,48 @@ def test_mxn_posterior_matches_rerun_weights_exhaustively():
         for s, p in direct.hypotheses:
             w = paired_bell_probability(mxn_encoded_state(s), entry.transcript.announced)
             assert w > ATOL
+
+
+def _posterior_by_cells(transcript):
+    """The per-assignment posterior: every assignment's encoded state
+    measured against the announced Bell vectors, weights at most ATOL / 4
+    counted as 0 by ``paired_bell_probability``."""
+    announced = transcript.announced
+    return Posterior.from_weights(
+        (s, paired_bell_probability(mxn_encoded_state(s), announced))
+        for s in all_secret_assignments(Protocol.MXN, len(announced))
+    )
+
+
+@pytest.mark.parametrize("parties, samples", [(5, 12), (6, 6)])
+def test_mxn_column_matches_the_engine(parties, samples):
+    """On seeded tuples, the column holds every assignment whose encoded
+    state gives the tuple nonzero probability, at that probability, and the
+    posterior's hypotheses equal the per-assignment one exactly."""
+    rng = np.random.default_rng(parties)
+    labels = list(BellLabel)
+    states = {
+        s: mxn_encoded_state(s) for s in all_secret_assignments(Protocol.MXN, parties)
+    }
+    for _ in range(samples):
+        announced = tuple(labels[i] for i in rng.integers(0, 4, size=parties))
+        transcript = Transcript(Protocol.MXN, announced)
+        column = channel_column(transcript)
+        assert len(column) == 2
+        for s, state in states.items():
+            want = paired_bell_probability(state, announced)
+            assert column.get(s, 0.0) == pytest.approx(want, abs=ATOL)
+            assert (s in column) == (want > 0.0)
+        assert eve_posterior(transcript).hypotheses == (
+            _posterior_by_cells(transcript).hypotheses
+        )
+
+
+def test_mxn_posterior_keeps_the_audit_party_bound():
+    with pytest.raises(ValueError, match=r"mxn audits need parties in 3\.\.6"):
+        eve_posterior(Transcript(Protocol.MXN, (BellLabel.PHI_PLUS,) * 2))
+    with pytest.raises(ValueError, match=r"mxn audits need parties in 3\.\.6"):
+        leakage_report(Protocol.MXN, 2)
 
 
 # --- OTP ---------------------------------------------------------------

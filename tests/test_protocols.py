@@ -16,7 +16,7 @@ from qdleak.protocols import (
     all_secret_assignments,
     as_bits,
     bits_to_str,
-    channel_cell,
+    channel_column,
     channel_row,
     deduce_ghz_from_bells,
     flip_op_for_bit,
@@ -183,16 +183,19 @@ def test_transcript_accepts_exactly_well_formed_announcements(drawn):
         (Protocol.MXN, 4),
     ],
 )
-def test_channel_cell_is_the_row_entry(protocol, parties):
-    """For every assignment and every tuple of the announced alphabet, the
-    single-transcript cell equals the row's entry (0 where it has none)."""
+def test_channel_column_is_the_row_column(protocol, parties):
+    """For every tuple of the announced alphabet, the column lists exactly
+    the assignments whose row holds the tuple, at the row's probability."""
     symbols = ANNOUNCEMENTS[protocol][2]
-    for secrets in all_secret_assignments(protocol, parties):
-        row = channel_row(secrets)
+    rows = {s: channel_row(s) for s in all_secret_assignments(protocol, parties)}
+    for row in rows.values():
         assert sum(row.values()) == pytest.approx(1.0, abs=ATOL)
-        for announced in itertools.product(symbols, repeat=parties):
-            want = row.get(announced, 0.0)
-            assert channel_cell(secrets, announced) == pytest.approx(want, abs=ATOL)
+    for announced in itertools.product(symbols, repeat=parties):
+        want = {s: row[announced] for s, row in rows.items() if announced in row}
+        column = channel_column(Transcript(protocol, announced))
+        assert column.keys() == want.keys()
+        for secrets, prob in column.items():
+            assert prob == pytest.approx(want[secrets], abs=ATOL)
 
 
 # --- coding alphabets --------------------------------------------------

@@ -62,6 +62,14 @@ def test_leakage_documents_validate_and_round_trip(protocol, parties):
     assert json.dumps(doc, indent=2, sort_keys=True) == dumped
 
 
+def test_leakage_schema_holds_the_mxn_party_bound():
+    doc = leakage_document(leakage_report(Protocol.MXN, 3))
+    for parties in (2, 7):
+        doc["params"]["parties"] = parties
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, LEAKAGE_SCHEMA)
+
+
 def test_leakage_document_entropy_recomputes_from_posterior():
     doc = leakage_document(leakage_report(Protocol.NBA))
     for entry in doc["transcripts"]:
