@@ -51,7 +51,6 @@ from .protocols import (
     mxn_secrets,
     nba_decode,
     nba_secrets,
-    op_tuples_for_label,
     otp_secrets,
     run_jz,
     run_mxn,
@@ -107,7 +106,6 @@ __all__ = [
     "nba_decode",
     "nba_secrets",
     "nba_xor_constraint",
-    "op_tuples_for_label",
     "otp_reuse_posterior",
     "otp_secrets",
     "project_bell",

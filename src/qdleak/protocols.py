@@ -31,17 +31,17 @@ Protocols:
   the ciphertexts.  It exists so the leakage module can compare structures;
   it has a channel but no run function.
 
-MXN's N pair measurements commute, so their joint outcome law is one table,
-|<B_1 ... B_N | psi>|^2 over all 4^N label tuples, which one contraction of
-the encoded state against the Bell basis gives.  A run samples from that
-table.  The encoded state is the all-zero multiplet tensor the multiplet
-of the secrets' GHZ label, up to a global phase, so one small contraction
-per announced tuple gives that tuple's probability under every GHZ label:
-it names the label a run decodes from, and it is the column, each label's
-probability shared by the two assignments encoding it.  The audit row still
-walks :func:`~qdleak.qstate.project_bell` branch by branch, and that walk,
-with :func:`paired_bell_probability` on :func:`mxn_encoded_state`, is what
-tests hold the faster paths to.
+MXN's encoded state is the all-zero multiplet tensor the multiplet of the
+secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
+depends on that label alone.  It is the engine's branch-by-branch
+:func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`),
+taken once per label and cached: that one table is the row, a run samples
+from it, and the column reads one tuple from it.  Labels themselves need no
+state vector.  The coding alphabet acts on them linearly over GF(2), so an
+assignment's label (:func:`mxn_label`) and an announced tuple's label
+(:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
+:func:`ghz_after_ops` and :func:`paired_bell_probability` on
+:func:`mxn_encoded_state`, are what tests hold them to.
 
 All run functions are deterministic given their arguments, plus the rng for
 MXN, which consumes exactly one uniform draw per pair, in pair order.
@@ -64,11 +64,11 @@ from .qstate import (
     KET_LABELS,
     PauliOp,
     StateVector,
-    all_ghz_labels,
     apply_pauli,
     bell_state,
     ghz_label_of,
     ghz_state,
+    is_bit,
     ket,
     project_bell,
     tensor,
@@ -127,14 +127,14 @@ class SecretAssignment:
 
     def __post_init__(self):
         alice_w, other_w, lo, hi = _SECRET_SHAPE[self.protocol]
-        if len(self.alice) != alice_w or any(b not in (0, 1) for b in self.alice):
+        if len(self.alice) != alice_w or not all(map(is_bit, self.alice)):
             raise ValueError(f"party 0 needs {alice_w} bits for {self.protocol.text}")
         if not lo <= len(self.others) <= hi:
             raise ValueError(
                 f"{self.protocol.text} takes {lo}..{hi} other parties, got {len(self.others)}"
             )
         for bits in self.others:
-            if len(bits) != other_w or any(b not in (0, 1) for b in bits):
+            if len(bits) != other_w or not all(map(is_bit, bits)):
                 raise ValueError(f"each other party needs {other_w} bits, got {bits!r}")
 
     @property
@@ -283,16 +283,9 @@ def mxn_alice_op_for_bits(bits: Bits) -> PauliOp:
     return _MXN_ALICE_OP_FOR_BITS[as_bits(bits, 2)]
 
 
-def mxn_alice_bits_for_op(op: PauliOp) -> Bits:
-    return _MXN_ALICE_BITS_FOR_OP[op]
-
-
 def flip_op_for_bit(bit: int) -> PauliOp:
     """One-bit coding shared by JZ and MXN parties 1..N-1: 0->I, 1->isy."""
     return _FLIP_OP_FOR_BIT[bit]
-
-
-_MXN_ALICE_BITS_FOR_OP = {op: bits for bits, op in _MXN_ALICE_OP_FOR_BITS.items()}
 
 
 # --- NBA ----------------------------------------------------------------
@@ -482,23 +475,13 @@ def two_party_ops(secrets: SecretAssignment) -> tuple[PauliOp, PauliOp]:
     return flip_op_for_bit(secrets.alice[0]), flip_op_for_bit(secrets.others[0][0])
 
 
-def mxn_secrets_for_ops(ops: Sequence[PauliOp]) -> SecretAssignment:
-    """Inverse of :func:`mxn_ops_for_secrets`."""
-    return mxn_secrets(
-        mxn_alice_bits_for_op(ops[0]),
-        [_FLIP_BIT_FOR_OP[op] for op in ops[1:]],
-    )
-
-
-_FLIP_BIT_FOR_OP = {PauliOp.I: 0, PauliOp.ISY: 1}
-
-
 def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
     """The GHZ label reached by applying per-party ops to the all-zero label.
 
     ops[0] may be any of the four operations; ops[1..] must come from
     {I, isy}.  The coding alphabet permutes GHZ rays, so the search over
-    labels always finds exactly one match."""
+    labels always finds exactly one match.  This is the engine reference
+    :func:`mxn_label` is held to."""
     ops = tuple(ops)
     n = len(ops)
     if not 2 <= n <= 6:
@@ -514,27 +497,36 @@ def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
     return label
 
 
+def mxn_label(secrets: SecretAssignment) -> GhzLabel:
+    """The GHZ label an MXN assignment encodes, read off its bits over GF(2).
+
+    A Z part on any qubit flips x, an X part on qubit i >= 1 flips y_i and
+    an X part on qubit 0 flips all of y.  Party 0's bits (a1, a2) carry a Z
+    part when a1 ^ a2 (sz, isy) and an X part when a1 (isy, sx); party i's
+    isy carries both.  So x = a1 ^ a2 ^ b_1 ^ ... ^ b_(N-1) and
+    y_i = b_i ^ a1."""
+    if secrets.protocol is not Protocol.MXN:
+        raise ValueError("needs MXN secrets")
+    a1, a2 = secrets.alice
+    others = [bits[0] for bits in secrets.others]
+    return GhzLabel((a1 + a2 + sum(others)) % 2, tuple(b ^ a1 for b in others))
+
+
 @functools.lru_cache(maxsize=None)
-def _op_tuples_by_label(parties: int) -> dict[GhzLabel, tuple[tuple[PauliOp, ...], ...]]:
-    """label -> the operation tuples encoding it (always exactly two)."""
+def _assignments_by_label(parties: int) -> dict[GhzLabel, tuple[SecretAssignment, ...]]:
+    """label -> the assignments encoding it, in lexicographic order.
+
+    Always exactly two.  They differ in every bit except, for an even party
+    count, party 0's second one, so each party's own bits separate them,
+    which is what decoding relies on."""
     table: dict[GhzLabel, list] = {}
-    alice_ops = (PauliOp.I, PauliOp.SZ, PauliOp.ISY, PauliOp.SX)
-    for first in alice_ops:
-        for rest in itertools.product((PauliOp.I, PauliOp.ISY), repeat=parties - 1):
-            ops = (first, *rest)
-            table.setdefault(ghz_after_ops(ops), []).append(ops)
-    return {label: tuple(tuples) for label, tuples in table.items()}
+    for secrets in all_secret_assignments(Protocol.MXN, parties):
+        table.setdefault(mxn_label(secrets), []).append(secrets)
+    return {label: tuple(group) for label, group in table.items()}
 
 
-def op_tuples_for_label(label: GhzLabel) -> tuple[tuple[PauliOp, ...], ...]:
-    """The operation tuples that encode a GHZ label.
-
-    Always exactly two.  Read as secret bits they differ in every position
-    except one: for an even party count, party 0's second bit is shared
-    (isy on every qubit fixes each GHZ ray only when N is even, sx tensor
-    isy^(N-1) only when N is odd).  Either way each party's own bits
-    separate the two tuples, which is what decoding relies on."""
-    return _op_tuples_by_label(label.num_qubits)[label]
+def _assignments_for_label(label: GhzLabel) -> tuple[SecretAssignment, ...]:
+    return _assignments_by_label(label.num_qubits)[label]
 
 
 def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
@@ -549,59 +541,52 @@ def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
     return state
 
 
-_BELL_LABELS = tuple(BellLabel)
-# Row k is the k-th label's Bell vector: the change of basis from a pair's
-# computational index 2a+b to its Bell label.
-_BELL_BASIS = np.array([bell_state(label).amplitudes for label in _BELL_LABELS])
-
-
-def _joint_bell_amplitudes(state: StateVector) -> np.ndarray:
-    """<B_1 ... B_N | psi> for every label tuple at once, measuring pairs
-    (i, N+i) of a 2N-qubit state: shaped (4,)*N, axis k holding pair k's
-    label in BellLabel order."""
-    n = state.num_qubits // 2
-    pair_order = [axis for i in range(n) for axis in (i, n + i)]
-    amps = state.tensor_view().transpose(pair_order).reshape(4, -1)
-    for _ in range(n):
-        # Trade the leading pair axis for its label axis, placed last; after
-        # N rounds the label axes are back in pair order.
-        amps = (_BELL_BASIS.conj() @ amps).T.reshape(4, -1)
-    return amps.reshape((4,) * n)
+@functools.lru_cache(maxsize=None)
+def _label_row(label: GhzLabel) -> dict[tuple, float]:
+    """The joint law of the N pair outcomes for every assignment encoding
+    ``label``: the engine walk on the all-zero multiplet tensor the
+    labelled one, which equals each such :func:`mxn_encoded_state` up to
+    a sign.  Shared; callers copy it before handing it out."""
+    home = ghz_state(GhzLabel(0, (0,) * (label.num_qubits - 1)))
+    return paired_bell_distribution(tensor(home, ghz_state(label)))
 
 
 def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     """Execute one MXN dialogue: encode, measure pairs (i, N+i) in pair
     order, announce the labels, decode per party.
 
-    The measurement samples from the joint Bell-outcome table of the
-    encoded state: pair by pair, one ``rng.random()`` per pair against the
-    conditional law of that pair's label given the labels so far, in
-    BellLabel order, skipping labels of conditional probability at most
-    ``ATOL / 4`` and falling back to the last label kept.  That is the draw
-    :func:`~qdleak.qstate.project_bell` collapse by collapse would make, so
-    a seed gives the same transcript either way.  The announced tuple is
-    then turned into its GHZ label once, and every party decodes from it."""
+    The measurement samples from the joint outcome law of the secrets' GHZ
+    label (:func:`mxn_row`): pair by pair, one ``rng.random()`` per pair
+    against the conditional law of that pair's label given the labels so
+    far, in BellLabel order, skipping labels of conditional probability at
+    most ``ATOL / 4`` and falling back to the last label kept.  That is the
+    draw :func:`~qdleak.qstate.project_bell` collapse by collapse would
+    make, so a seed gives the same transcript either way.  The announced
+    tuple is then turned into its GHZ label once, and every party decodes
+    from it."""
     n = secrets.num_parties
     if n not in MXN_PARTIES:
         raise ValueError(
             f"run_mxn supports {MXN_PARTIES[0]}..{MXN_PARTIES[-1]} parties, got {n}"
         )
-    probs = np.abs(_joint_bell_amplitudes(mxn_encoded_state(secrets))) ** 2
-    labels = []
-    for _ in range(n):
-        marginal = probs.reshape(4, -1).sum(axis=1)
+    branches = _label_row(mxn_label(secrets)).items()
+    for pair in range(n):
+        marginal = dict.fromkeys(BellLabel, 0.0)
+        for outcomes, prob in branches:
+            marginal[outcomes[pair]] += prob
+        total = sum(marginal.values())
         u = rng.random()
         acc = 0.0
-        for index, prob in enumerate(marginal / marginal.sum()):
+        for bell, prob in marginal.items():
+            prob /= total
             if prob <= ATOL / 4:
                 continue
-            chosen = index
+            chosen = bell
             acc += prob
             if u < acc:
                 break
-        labels.append(_BELL_LABELS[chosen])
-        probs = probs[chosen]
-    transcript = Transcript(Protocol.MXN, tuple(labels))
+        branches = [(outcomes, p) for outcomes, p in branches if outcomes[pair] is chosen]
+    transcript = Transcript(Protocol.MXN, branches[0][0])
     (label,) = deduce_ghz_from_bells(transcript.announced)
     decoded = tuple(
         _decode_from_label(label, party, secrets.party_bits(party)) for party in range(n)
@@ -620,45 +605,32 @@ def _announced_bells(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
     return kron.reshape((2,) * (2 * n)).transpose(register_order).reshape(2**n, 2**n)
 
 
-@functools.lru_cache(maxsize=None)
-def _ghz_basis(n: int) -> np.ndarray:
-    """Row k is the k-th GHZ basis vector of :func:`all_ghz_labels`."""
-    basis = np.array([ghz_state(label).amplitudes for label in all_ghz_labels(n)])
-    basis.setflags(write=False)
-    return basis
-
-
-def _ghz_label_probabilities(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
-    """|<B_1 ... B_N | ghz_0 ghz_label>|^2 for every label of
-    :func:`~qdleak.qstate.all_ghz_labels`, in its order: the probability of
-    the announced tuple when pairs (i, N+i) of the all-zero multiplet
-    tensor the labelled one are measured.  The pair projectors act on
-    disjoint qubits and commute, so each is a single inner product; all
-    2^N come from the announced Bell kron against the all-zero multiplet
-    (row 0 of the GHZ basis), then against the GHZ basis."""
-    basis = _ghz_basis(len(outcomes))
-    return np.abs(basis @ (basis[0] @ _announced_bells(outcomes).conj())) ** 2
+_MINUS = (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
+_PSI = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
 
 
 def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
-    """GHZ labels consistent with an announced Bell-outcome tuple.
+    """The GHZ label behind an announced Bell-outcome tuple, as a
+    one-element set.
 
-    A label is consistent when the joint pair-measurement outcome has
-    nonzero probability on the doubled state (all-zero multiplet tensor the
-    labelled multiplet), as :func:`_ghz_label_probabilities` gives it.
-    Every well-formed tuple turns out to be consistent with exactly one
-    label; the empty-set error exists for defensive completeness."""
+    Pair i holds qubits (i, N+i) of the doubled state: the all-zero
+    multiplet on 0..N-1, the labelled one on N..2N-1.  A Bell label is a
+    joint eigenvalue of X tensor X (-1 for a minus label) and Z tensor Z
+    (-1 for a psi label) on its pair.  The product of X tensor X over all
+    pairs is X on every qubit, which reads (-1)^x on the doubled state, so
+    x is the XOR of the minus bits.  Z tensor Z on pair i times pair 0 is
+    Z_0 Z_i on both multiplets, which reads (-1)^y_i, so y_i = p_0 ^ p_i
+    with p = 1 for psi.  Every well-formed tuple thus names exactly one
+    label."""
     outcomes = tuple(outcomes)
     n = len(outcomes)
     if not 2 <= n <= 6:
         raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    probs = _ghz_label_probabilities(outcomes)
-    consistent = {label for label, prob in zip(all_ghz_labels(n), probs) if prob > ATOL}
-    if not consistent:
-        raise TranscriptError(f"no GHZ label is consistent with {outcomes!r}")
-    return consistent
+    x = sum(label in _MINUS for label in outcomes) % 2
+    psi = [int(label in _PSI) for label in outcomes]
+    return {GhzLabel(x, tuple(p ^ psi[0] for p in psi[1:]))}
 
 
 def paired_bell_probability(
@@ -698,24 +670,18 @@ def paired_bell_distribution(
 
 
 def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """P(announced | secrets): the joint law of the N pair outcomes."""
-    return paired_bell_distribution(mxn_encoded_state(secrets))
+    """P(announced | secrets): the joint law of the N pair outcomes, the
+    engine walk of the secrets' GHZ label."""
+    return dict(_label_row(mxn_label(secrets)))
 
 
 def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments whose :func:`mxn_row` holds the announced tuple: the
-    two encoding each GHZ label the tuple can come from, at that label's
-    probability.  The encoded state is the all-zero multiplet tensor the
-    label's multiplet up to a global phase, so no assignment's state is
-    built.  Like the row's branch walk, a probability of at most
-    ``ATOL / 4`` counts as 0.0."""
-    probs = _ghz_label_probabilities(announced)
-    return {
-        secrets: float(prob)
-        for label, prob in zip(all_ghz_labels(len(announced)), probs)
-        if prob > ATOL / 4
-        for secrets in _assignments_for_label(label)
-    }
+    two encoding the one GHZ label the tuple names, each at that label's
+    probability for the tuple."""
+    (label,) = deduce_ghz_from_bells(announced)
+    prob = _label_row(label)[announced]
+    return {secrets: prob for secrets in _assignments_for_label(label)}
 
 
 def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]:
@@ -723,24 +689,15 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     one's own bits.
 
     The announced tuple determines the encoded GHZ label; that label has
-    exactly two consistent operation tuples, and every party's own bits
-    differ between them, so the own-bits filter keeps exactly one."""
+    exactly two consistent assignments, and every party's own bits differ
+    between them, so the own-bits filter keeps exactly one."""
     if transcript.protocol is not Protocol.MXN:
         raise TranscriptError("mxn_decode needs an MXN transcript")
     n = len(transcript.announced)
     if not 0 <= party < n:
         raise ValueError(f"party {party} out of range for {n} parties")
-    labels = deduce_ghz_from_bells(transcript.announced)
-    if len(labels) != 1:
-        raise TranscriptError(f"announcement does not pin down one GHZ label: {labels!r}")
-    (label,) = labels
+    (label,) = deduce_ghz_from_bells(transcript.announced)
     return _decode_from_label(label, party, own)
-
-
-@functools.lru_cache(maxsize=None)
-def _assignments_for_label(label: GhzLabel) -> tuple[SecretAssignment, ...]:
-    """The two assignments encoding ``label``, as secrets."""
-    return tuple(map(mxn_secrets_for_ops, op_tuples_for_label(label)))
 
 
 def _decode_from_label(label: GhzLabel, party: int, own: Bits) -> dict[int, Bits]:

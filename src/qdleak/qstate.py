@@ -32,6 +32,12 @@ MAX_QUBITS = 12
 KET_LABELS = ("0", "1", "+", "-")
 
 
+def is_bit(value) -> bool:
+    """True for the numbers 0 and 1.  Bools are refused: they compare equal
+    to 0 and 1 but render as "True"/"False" in labels and bit strings."""
+    return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Deterministic random generator (numpy PCG64) for a given seed.
 
@@ -149,9 +155,9 @@ class GhzLabel:
     y: tuple[int, ...]
 
     def __post_init__(self):
-        if self.x not in (0, 1):
+        if not is_bit(self.x):
             raise ValueError(f"x must be a bit, got {self.x!r}")
-        if not self.y or any(b not in (0, 1) for b in self.y):
+        if not self.y or not all(map(is_bit, self.y)):
             raise ValueError(f"y must be a nonempty bit tuple, got {self.y!r}")
 
     @property

@@ -24,17 +24,18 @@ from qdleak.protocols import (
     jz_decode,
     jz_outcome_label,
     jz_secrets,
+    mxn_column,
     mxn_decode,
     mxn_encoded_state,
+    mxn_label,
     mxn_ops_for_secrets,
+    mxn_row,
     mxn_secrets,
-    mxn_secrets_for_ops,
     nba_consistent_pairs,
     nba_decode,
     nba_final_label,
     nba_op_for_bits,
     nba_secrets,
-    op_tuples_for_label,
     otp_secrets,
     paired_bell_distribution,
     paired_bell_probability,
@@ -98,6 +99,24 @@ def test_secret_assignment_shapes():
         SecretAssignment(Protocol.MXN, (0, 1), ())
     with pytest.raises(ValueError):
         SecretAssignment(Protocol.MXN, (0, 1), ((0,),) * 6)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: GhzLabel(0, (True, False)),
+        lambda: GhzLabel(True, (0,)),
+        lambda: GhzLabel(0, (np.True_, 0)),
+        lambda: SecretAssignment(Protocol.MXN, (True, 0), ((1,), (0,))),
+        lambda: SecretAssignment(Protocol.MXN, (1, 0), ((1,), (False,))),
+        lambda: SecretAssignment(Protocol.NBA, (0, 1), ((np.False_, 1),)),
+    ],
+)
+def test_bit_fields_reject_bools(build):
+    """A bool equals 0 or 1 but renders as True/False in labels and bit
+    strings, so bit fields refuse it."""
+    with pytest.raises(ValueError):
+        build()
 
 
 def test_all_secret_assignments_counts():
@@ -360,13 +379,10 @@ def test_encoding_map_is_two_to_one(parties):
             assert group[0].party_bits(party) != group[1].party_bits(party)
 
 
-def test_op_tuples_for_label_inverts_the_encoding():
-    for label in all_ghz_labels(3):
-        tuples = op_tuples_for_label(label)
-        assert len(tuples) == 2
-        for ops in tuples:
-            assert ghz_after_ops(ops) == label
-            assert mxn_ops_for_secrets(mxn_secrets_for_ops(ops)) == ops
+@pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
+def test_mxn_label_is_the_engine_encoding(parties):
+    for secrets in all_secret_assignments(Protocol.MXN, parties):
+        assert mxn_label(secrets) == ghz_after_ops(mxn_ops_for_secrets(secrets))
 
 
 # --- MXN: swapping and deduction ---------------------------------------
@@ -395,10 +411,17 @@ def test_paired_distribution_matches_index_oracle():
 
 
 def test_deduce_identifies_the_label_behind_every_reachable_tuple():
-    for label in all_ghz_labels(3):
-        state = tensor(ghz_state(GhzLabel(0, (0, 0))), ghz_state(label))
-        for outcome in paired_bell_distribution(state):
-            assert deduce_ghz_from_bells(outcome) == {label}
+    """The engine walk of each label's doubled state reaches a set of
+    tuples; the deduction names that label for each of them, and at every
+    party count the sets of all labels cover every tuple."""
+    for parties in range(2, 6):
+        home = ghz_state(GhzLabel(0, (0,) * (parties - 1)))
+        reached = 0
+        for label in all_ghz_labels(parties):
+            for outcome in paired_bell_distribution(tensor(home, ghz_state(label))):
+                assert deduce_ghz_from_bells(outcome) == {label}
+                reached += 1
+        assert reached == 4**parties
 
 
 def test_deduce_two_party_case():
@@ -466,7 +489,8 @@ def engine_replay_announced(secrets, rng):
 
 @pytest.mark.parametrize("parties, seeds", [(3, 5), (4, 5), (5, 2), (6, 2)])
 def test_run_mxn_replays_the_engine_collapse(parties, seeds):
-    """run_mxn samples from the joint Bell table; it must announce what the
+    """run_mxn samples from its GHZ label's row of the channel, the engine
+    walk of that label cached once; it must announce what the
     engine's branch-by-branch collapse announces for the same seed, use the
     same draws, and decode the true bits for every party."""
     for secrets in all_secret_assignments(Protocol.MXN, parties):
@@ -510,6 +534,32 @@ def test_mxn_decode_rejects_impossible_own_bits():
         mxn_decode(5, (0, 0), record.transcript)
     with pytest.raises(TranscriptError):
         mxn_decode(0, (0, 0), Transcript(Protocol.NBA, (BellLabel.PSI_PLUS,) * 2))
+
+
+@pytest.mark.parametrize("parties, sample", [(3, None), (4, None), (5, None), (6, 12)])
+def test_mxn_row_is_the_engine_walk_of_the_encoded_state(parties, sample):
+    """Float for float and in the same order: the encoded state is the
+    cached row's doubled state up to a sign, which the walk squares away."""
+    assignments = all_secret_assignments(Protocol.MXN, parties)
+    if sample:
+        picks = make_rng(parties).choice(len(assignments), sample, replace=False)
+        assignments = [assignments[i] for i in picks]
+    for secrets in assignments:
+        want = paired_bell_distribution(mxn_encoded_state(secrets))
+        row = mxn_row(secrets)
+        assert row == want
+        assert list(row) == list(want)
+
+
+def test_mxn_row_hands_out_a_copy():
+    secrets = mxn_secrets("01", [1, 0, 1])
+    row = mxn_row(secrets)
+    want = dict(row)
+    announced = next(iter(row))
+    row[announced] = 1.0
+    row[(BellLabel.PHI_PLUS,) * 4] = 0.5
+    assert mxn_row(secrets) == want
+    assert mxn_column(announced)[secrets] == want[announced]
 
 
 def test_mxn_encoded_state_carries_the_secret_label():
