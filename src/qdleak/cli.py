@@ -96,6 +96,7 @@ def _parse_bits(value: str | None, width: int, flag: str):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     protocol = Protocol(args.protocol)
+    _reject(args.seed < 0, f"--seed must be non-negative, got {args.seed}")
     if protocol is Protocol.NBA:
         _reject(args.others is not None, "--others does not apply to nba")
         _reject(args.parties is not None, "--parties does not apply to nba")

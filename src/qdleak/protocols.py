@@ -15,8 +15,8 @@ of :mod:`qdleak.leakage`.
 Protocols:
 
 * NBA: a Bell pair; both parties encode two bits each on the traveling
-  qubit (index 1) via {I(00), sx(01), isy(10), sz(11)}; the preparer's final
-  Bell measurement is deterministic.  Announced: initial and final labels.
+  qubit (index 1) via {I(00), sx(01), isy(10), sz(11)}; the preparer
+  measures the pair in the Bell basis.  Announced: initial and final labels.
 * JZ: a single photon from {|0>,|1>,|+>,|->}; both parties encode one bit
   each via {I(0), isy(1)}; the preparer measures in the preparation basis.
   Announced: initial and outcome ket labels.
@@ -30,6 +30,16 @@ Protocols:
   XOR-ing one plaintext bit each with the same reused key bit and announcing
   the ciphertexts.  It exists so the leakage module can compare structures;
   it has a channel but no run function.
+
+Both two-party protocols are label arithmetic over GF(2), with no state
+vector.  A Bell label is a bit pair (psi, minus): Z tensor Z reads -1 on a
+psi label and X tensor X reads -1 on a minus label.  On the traveling qubit
+sx flips psi, sz flips minus and isy = ZX flips both, so NBA coding bits
+(b1, b2) flip psi by b1 ^ b2 and minus by b1, and the final label is the
+initial one flipped by the XOR of the two parties' bits, which the
+transcript thereby makes public.  JZ's isy flips the ket within either
+basis, so the outcome differs from the initial ket exactly when the two
+bits differ.  The engine versions of both are what tests hold them to.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
@@ -69,7 +79,6 @@ from .qstate import (
     ghz_label_of,
     ghz_state,
     is_bit,
-    ket,
     project_bell,
     tensor,
 )
@@ -100,10 +109,10 @@ def as_bits(value: BitsLike, width: int) -> Bits:
     if isinstance(value, str):
         seq = [int(c) if c in "01" else -1 for c in value]
     else:
-        seq = [int(b) for b in value]
-    if len(seq) != width or any(b not in (0, 1) for b in seq):
+        seq = list(value)
+    if len(seq) != width or not all(map(is_bit, seq)):
         raise ValueError(f"expected {width} bits, got {value!r}")
-    return tuple(seq)
+    return tuple(int(b) for b in seq)
 
 
 def bits_to_str(bits: Iterable[int]) -> str:
@@ -290,21 +299,43 @@ def flip_op_for_bit(bit: int) -> PauliOp:
 
 # --- NBA ----------------------------------------------------------------
 
+# A Bell label's (psi, minus) bits: Z tensor Z reads -1 on psi, X tensor X
+# reads -1 on minus.
+_BELL_BITS = {
+    BellLabel.PHI_PLUS: (0, 0),
+    BellLabel.PHI_MINUS: (0, 1),
+    BellLabel.PSI_PLUS: (1, 0),
+    BellLabel.PSI_MINUS: (1, 1),
+}
+_BELL_FOR_BITS = {bits: label for label, bits in _BELL_BITS.items()}
+
+
+def _bell_bits(label: BellLabel) -> tuple[int, int]:
+    if not isinstance(label, BellLabel):
+        raise TranscriptError(f"not a Bell label: {label!r}")
+    return _BELL_BITS[label]
+
+
+def _xor(a: Bits, b: Bits) -> Bits:
+    return tuple(x ^ y for x, y in zip(a, b))
+
 
 def nba_final_label(alice: Bits, bob: Bits, initial: BellLabel) -> BellLabel:
-    """The (deterministic) final Bell result after both encodings.
+    """The final Bell result after both encodings on the traveling qubit.
 
-    Bob encodes first, then Alice, both on the traveling qubit 1.  Because
-    the coding alphabet maps Bell rays to Bell rays, exactly one outcome
-    survives with probability 1 (within 1e-9); anything else is a bug.
-    """
-    state = bell_state(initial)
-    state = apply_pauli(state, 1, nba_op_for_bits(bob))
-    state = apply_pauli(state, 1, nba_op_for_bits(alice))
-    outcomes = project_bell(state, (0, 1))
-    if len(outcomes) != 1 or abs(outcomes[0].probability - 1.0) > ATOL:
-        raise RuntimeError(f"nba final measurement not deterministic: {outcomes!r}")
-    return outcomes[0].label
+    Coding bits (b1, b2) flip psi by b1 ^ b2 and minus by b1, and flips
+    compose by XOR, so with x = alice ^ bob the final label is the initial
+    one flipped by (x1 ^ x2, x1), whoever encodes first."""
+    x1, x2 = _xor(as_bits(alice, 2), as_bits(bob, 2))
+    psi, minus = _bell_bits(initial)
+    return _BELL_FOR_BITS[(psi ^ x1 ^ x2, minus ^ x1)]
+
+
+def _nba_public_xor(initial: BellLabel, final: BellLabel) -> Bits:
+    """alice ^ bob, read back from the label difference: x1 is the minus
+    flip and x2 the psi flip XOR the minus flip."""
+    d_psi, d_minus = _xor(_bell_bits(initial), _bell_bits(final))
+    return (d_minus, d_psi ^ d_minus)
 
 
 def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
@@ -330,40 +361,26 @@ def nba_row(secrets: SecretAssignment) -> dict[tuple, float]:
 def nba_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments whose :func:`nba_row` holds the announced (initial,
     final) pair, each at the initial label's 0.25."""
-    return {nba_secrets(a, b): 0.25 for a, b in nba_consistent_pairs(*announced)}
+    return {
+        SecretAssignment(Protocol.NBA, a, (b,)): 0.25
+        for a, b in nba_consistent_pairs(*announced)
+    }
 
 
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
     """Recover the counterpart's two bits from the announced labels plus
-    one's own bits.  Exactly one counterpart coding is consistent; zero or
-    several mean a corrupted transcript.
-
-    The search is order-blind: the coding operations commute up to phase,
-    so decoding works the same for both parties."""
-    own = as_bits(own, 2)
-    matches = [
-        bits for bits in BIT_PAIRS if nba_final_label(own, bits, initial) == final
-    ]
-    if len(matches) != 1:
-        raise TranscriptError(
-            f"{len(matches)} counterpart codings consistent with "
-            f"({initial.text}, {final.text}) given own bits {bits_to_str(own)}"
-        )
-    return matches[0]
+    one's own bits: own ^ (alice ^ bob).  The same for both parties."""
+    return _xor(as_bits(own, 2), _nba_public_xor(initial, final))
 
 
 def nba_consistent_pairs(
     initial: BellLabel, final: BellLabel
 ) -> tuple[tuple[Bits, Bits], ...]:
     """All (alice bits, bob bits) pairs producing ``final`` from
-    ``initial``, ordered by alice's bits.  Always four pairs, one per alice
-    value."""
-    return tuple(
-        (a, b)
-        for a in BIT_PAIRS
-        for b in BIT_PAIRS
-        if nba_final_label(a, b, initial) == final
-    )
+    ``initial``, ordered by alice's bits: one per alice value a, with bob's
+    bits a ^ (alice ^ bob)."""
+    x = _nba_public_xor(initial, final)
+    return tuple((a, _xor(a, x)) for a in BIT_PAIRS)
 
 
 # --- JZ -----------------------------------------------------------------
@@ -378,21 +395,22 @@ def basis_labels_of(label: str) -> tuple[str, str]:
     raise ValueError(f"unknown ket label {label!r}")
 
 
-def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
-    """The (deterministic) measured ket label after both one-bit encodings.
+def _check_bit(value) -> int:
+    if not is_bit(value):
+        raise ValueError(f"expected a bit 0 or 1, got {value!r}")
+    return value
 
-    Bob encodes first, then Alice; the preparer measures in the preparation
-    basis.  {I, isy} maps each basis to itself up to phase, so one outcome
-    has probability 1."""
-    state = ket(initial)
-    state = apply_pauli(state, 0, flip_op_for_bit(bob))
-    state = apply_pauli(state, 0, flip_op_for_bit(alice))
-    for candidate in basis_labels_of(initial):
-        amp = np.vdot(ket(candidate).amplitudes, state.amplitudes)
-        prob = float(abs(amp) ** 2)
-        if abs(prob - 1.0) <= ATOL:
-            return candidate
-    raise RuntimeError("jz measurement not deterministic")
+
+def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
+    """The measured ket label after both one-bit encodings.
+
+    isy maps each basis ket to the other one of its basis, up to phase, and
+    the preparer measures in the preparation basis, so the outcome is
+    ``initial`` when the bits agree and the other ket of its basis when
+    they differ."""
+    flipped = _check_bit(alice) ^ _check_bit(bob)
+    basis = basis_labels_of(initial)
+    return basis[basis.index(initial) ^ flipped]
 
 
 def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
@@ -417,20 +435,19 @@ def jz_row(secrets: SecretAssignment) -> dict[tuple, float]:
 
 def jz_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments whose :func:`jz_row` holds the announced (initial,
-    outcome) pair, each at the initial ket's 0.25; none for an outcome
-    outside the preparation basis."""
+    outcome) pair, each at the initial ket's 0.25: the two whose bits
+    differ exactly when the ket flipped, and none for an outcome outside
+    the preparation basis."""
     initial, outcome = announced
-    return {
-        s: 0.25
-        for s in all_secret_assignments(Protocol.JZ)
-        if jz_outcome_label(s.alice[0], s.others[0][0], initial) == outcome
-    }
+    if outcome not in basis_labels_of(initial):
+        return {}
+    flipped = int(initial != outcome)
+    return {jz_secrets(a, a ^ flipped): 0.25 for a in (0, 1)}
 
 
 def jz_decode(own: int, initial: str, outcome: str) -> int:
     """Counterpart's bit: whether the ket flipped, minus one's own flip."""
-    if own not in (0, 1):
-        raise ValueError(f"own bit must be 0 or 1, got {own!r}")
+    _check_bit(own)
     if outcome not in basis_labels_of(initial):
         raise TranscriptError(
             f"outcome {outcome!r} is not in the preparation basis of {initial!r}"
@@ -605,10 +622,6 @@ def _announced_bells(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
     return kron.reshape((2,) * (2 * n)).transpose(register_order).reshape(2**n, 2**n)
 
 
-_MINUS = (BellLabel.PHI_MINUS, BellLabel.PSI_MINUS)
-_PSI = (BellLabel.PSI_PLUS, BellLabel.PSI_MINUS)
-
-
 def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     """The GHZ label behind an announced Bell-outcome tuple, as a
     one-element set.
@@ -628,9 +641,8 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
         raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    x = sum(label in _MINUS for label in outcomes) % 2
-    psi = [int(label in _PSI) for label in outcomes]
-    return {GhzLabel(x, tuple(p ^ psi[0] for p in psi[1:]))}
+    psi, minus = zip(*(_BELL_BITS[label] for label in outcomes))
+    return {GhzLabel(sum(minus) % 2, tuple(p ^ psi[0] for p in psi[1:]))}
 
 
 def paired_bell_probability(

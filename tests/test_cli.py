@@ -1,9 +1,13 @@
 """Command-line behavior: output, determinism, exit codes."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdleak.cli import main
 from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA
@@ -145,3 +149,60 @@ def test_unknown_flags_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--protocol", "nba"])
     assert exc.value.code == 2
+
+
+def test_negative_seed_is_a_usage_error(capsys):
+    code, out, err = run_cli(
+        capsys, "run", "--protocol", "mxn", "--parties", "3", "--alice", "10",
+        "--others", "1,0", "--seed", "-1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "--seed" in err
+
+
+# Each flag with values that make sense for some subcommand; --parties stays
+# at 4 or less, so no case builds a large state.
+FLAG_VALUES = {
+    "--protocol": ["nba", "jz", "mxn", "otp"],
+    "--alice": ["0", "1", "00", "01", "10", "11", "111"],
+    "--bob": ["0", "1", "00", "11", "2"],
+    "--others": ["0", "1", "0,1", "1,0,1", "0,,1"],
+    "--parties": ["-1", "0", "2", "3", "4"],
+    "--initial": ["phi+", "phi-", "psi+", "psi-", "0", "1", "+", "-"],
+    "--seed": ["0", "7", "-1", "123456789"],
+    "--format": ["text", "json"],
+}
+
+
+def _int_above_four(token):
+    try:
+        return int(token) > 4
+    except ValueError:
+        return False
+
+
+_JUNK = st.text(max_size=6).filter(lambda t: not _int_above_four(t))
+_OPTION = st.one_of(
+    *(
+        st.tuples(st.just(flag), st.sampled_from(values) | _JUNK)
+        for flag, values in FLAG_VALUES.items()
+    ),
+    st.tuples(st.sampled_from(["--verbose", "--help", *FLAG_VALUES])),
+    st.tuples(_JUNK),
+)
+_FIRST = st.sampled_from(["run", "analyze", "table1"]) | _JUNK
+
+
+@given(_FIRST, st.lists(_OPTION, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_any_argv_exits_0_1_or_2_without_a_traceback(first, options):
+    argv = [first, *(token for option in options for token in option)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv

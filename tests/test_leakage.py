@@ -32,13 +32,20 @@ from qdleak.protocols import (
     all_secret_assignments,
     channel_column,
     jz_outcome_label,
+    jz_row,
     mxn_encoded_state,
     mxn_secrets,
     nba_final_label,
+    nba_row,
     paired_bell_probability,
+    run_jz,
     run_mxn,
+    run_nba,
 )
-from qdleak.qstate import ATOL, BellLabel, make_rng
+from qdleak.qstate import ATOL, KET_LABELS, BellLabel, StateVector, ket, make_rng
+from qdleak.report import operation_table_text
+
+import coset_oracle
 
 ALL_JZ_TRANSCRIPTS = [
     ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"),
@@ -307,6 +314,63 @@ def test_per_transcript_entropy_is_constant_tying_both_views(protocol, parties):
         assert entry.entropy_bits == pytest.approx(
             entry.posterior.entropy_bits, abs=ATOL
         )
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [
+        (Protocol.NBA, None),
+        (Protocol.JZ, None),
+        (Protocol.OTP, None),
+        (Protocol.MXN, 3),
+        (Protocol.MXN, 4),
+        (Protocol.MXN, 5),
+        (Protocol.MXN, 6),
+    ],
+)
+def test_leakage_report_matches_the_coset_oracle(protocol, parties):
+    """The report lists exactly the transcripts the oracle's linear map can
+    explain, each with the coset it predicts as support and log2 of the
+    coset's size as entropy."""
+    predicted = coset_oracle.posterior_supports(protocol, parties)
+    entries = {
+        e.transcript.announced: e for e in leakage_report(protocol, parties).per_transcript
+    }
+    assert entries.keys() == predicted.keys()
+    for announced, support in predicted.items():
+        assert support_bits(entries[announced].posterior) == support
+        assert abs(entries[announced].entropy_bits - math.log2(len(support))) <= 1e-9
+
+
+def test_two_party_paths_build_no_state_vector(monkeypatch):
+    """NBA and JZ are label arithmetic: no run, row, posterior, audit or
+    operation table of theirs constructs a StateVector."""
+    built = []
+    construct = StateVector.__init__
+
+    def counting(self, amplitudes):
+        built.append(1)
+        construct(self, amplitudes)
+
+    monkeypatch.setattr(StateVector, "__init__", counting)
+    for secrets in all_secret_assignments(Protocol.NBA):
+        nba_row(secrets)
+        for initial in BellLabel:
+            run_nba(secrets, initial)
+    for secrets in all_secret_assignments(Protocol.JZ):
+        jz_row(secrets)
+        for initial in KET_LABELS:
+            run_jz(secrets, initial)
+    for announced in itertools.product(BellLabel, repeat=2):
+        eve_posterior(Transcript(Protocol.NBA, announced))
+    for announced in ALL_JZ_TRANSCRIPTS:
+        eve_posterior(Transcript(Protocol.JZ, announced))
+    leakage_report(Protocol.NBA)
+    leakage_report(Protocol.JZ)
+    operation_table_text()
+    assert built == []
+    ket("0")  # the counter sees a construction
+    assert built == [1]
 
 
 def test_leakage_report_argument_errors():

@@ -15,6 +15,7 @@ from qdleak.protocols import (
     TranscriptError,
     all_secret_assignments,
     as_bits,
+    basis_labels_of,
     bits_to_str,
     channel_column,
     channel_row,
@@ -45,13 +46,16 @@ from qdleak.protocols import (
 )
 from qdleak.qstate import (
     ATOL,
+    KET_LABELS,
     BellLabel,
     GhzLabel,
     PauliOp,
     all_ghz_labels,
+    apply_pauli,
     bell_state,
     equal_up_to_phase,
     ghz_state,
+    ket,
     make_rng,
     project_bell,
     tensor,
@@ -242,6 +246,70 @@ def test_two_bit_alphabets_differ_as_documented():
 
 
 # --- NBA ---------------------------------------------------------------
+
+
+def engine_nba_final_label(alice, bob, initial):
+    """Engine reference: encode bob's then alice's bits on qubit 1 of the
+    initial Bell pair and measure in the Bell basis; the alphabet maps Bell
+    rays to Bell rays, so exactly one outcome has probability 1."""
+    state = bell_state(initial)
+    state = apply_pauli(state, 1, nba_op_for_bits(bob))
+    state = apply_pauli(state, 1, nba_op_for_bits(alice))
+    outcomes = project_bell(state, (0, 1))
+    if len(outcomes) != 1 or abs(outcomes[0].probability - 1.0) > ATOL:
+        raise RuntimeError(f"nba final measurement not deterministic: {outcomes!r}")
+    return outcomes[0].label
+
+
+def engine_jz_outcome_label(alice, bob, initial):
+    """Engine reference: encode bob's then alice's flip on the initial ket
+    and measure in its preparation basis, which must give one outcome with
+    probability 1."""
+    state = ket(initial)
+    state = apply_pauli(state, 0, flip_op_for_bit(bob))
+    state = apply_pauli(state, 0, flip_op_for_bit(alice))
+    for candidate in basis_labels_of(initial):
+        prob = float(abs(np.vdot(ket(candidate).amplitudes, state.amplitudes)) ** 2)
+        if abs(prob - 1.0) <= ATOL:
+            return candidate
+    raise RuntimeError("jz measurement not deterministic")
+
+
+def test_nba_final_label_is_the_engine_measurement():
+    for alice, bob, initial in itertools.product(BIT_PAIRS, BIT_PAIRS, BellLabel):
+        assert nba_final_label(alice, bob, initial) is engine_nba_final_label(
+            alice, bob, initial
+        )
+
+
+def test_jz_outcome_label_is_the_engine_measurement():
+    for alice, bob, initial in itertools.product((0, 1), (0, 1), KET_LABELS):
+        assert jz_outcome_label(alice, bob, initial) == engine_jz_outcome_label(
+            alice, bob, initial
+        )
+
+
+PSI_PLUS = BellLabel.PSI_PLUS
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: nba_decode((0, 0), "psi+", PSI_PLUS), TranscriptError),
+        (lambda: nba_final_label((0, 0), (0, 1), "psi+"), TranscriptError),
+        (lambda: nba_consistent_pairs(PSI_PLUS, "phi-"), TranscriptError),
+        (lambda: nba_final_label((0, 2), (0, 1), PSI_PLUS), ValueError),
+        (lambda: nba_decode((True, 0), PSI_PLUS, BellLabel.PHI_PLUS), ValueError),
+        (lambda: jz_outcome_label(0, 2, "0"), ValueError),
+        (lambda: jz_decode(True, "0", "1"), ValueError),
+    ],
+)
+def test_two_party_helpers_reject_malformed_input(call, error):
+    """A non-Bell label is a corrupted transcript; a non-bit, bools
+    included, is a plain ValueError."""
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert exc.type is error
 
 
 def test_nba_final_label_worked_examples():
