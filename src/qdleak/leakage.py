@@ -5,11 +5,11 @@ knows the protocol completely, and holds no quantum access.  Starting from a
 uniform prior over all secret assignments, the posterior keeps exactly the
 assignments that could have produced the announced transcript, weighted by
 the probability of producing it.  That probability, P(announced | secrets),
-is each protocol's transcript channel, read from :mod:`qdleak.protocols`:
-an audit reads the whole table row by row
-(:func:`~qdleak.protocols.channel_row`), a single transcript's posterior
-is one column of it (:func:`~qdleak.protocols.channel_column`).  Nothing
-here depends on how a protocol produces its announcements.  Leakage is
+is each protocol's transcript channel, read one column at a time from
+:mod:`qdleak.protocols` (:func:`~qdleak.protocols.channel_column`): a
+single transcript's posterior is its column, normalized, and an audit
+reads the column of every tuple of the announced alphabet.  Nothing here
+depends on how a protocol produces its announcements.  Leakage is
 quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
@@ -25,21 +25,21 @@ same treatment, so its structure can be compared with JZ's.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .protocols import (
+    ANNOUNCED_SYMBOLS,
     MXN_PARTIES,
     Protocol,
     SecretAssignment,
     Transcript,
     TranscriptError,
-    all_secret_assignments,
     basis_labels_of,
     channel_column,
-    channel_row,
     total_secret_bits,
 )
 from .qstate import ATOL, KET_LABELS, BellLabel
@@ -187,17 +187,18 @@ class LeakageReport:
     per_transcript: tuple[TranscriptLeakage, ...]
 
 
-def _announced_sort_key(announced: tuple):
-    return tuple(
-        label.text if isinstance(label, BellLabel) else str(label)
-        for label in announced
-    )
+def _symbol_text(symbol) -> str:
+    return symbol.text if isinstance(symbol, BellLabel) else symbol
 
 
 def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageReport:
     """Enumerate every reachable transcript (exactly, no sampling) under
     uniform secrets (and uniform initial state / key where one exists) and
-    audit each one's posterior."""
+    audit each one's posterior.
+
+    Transcripts come in the order of their symbols' texts: one channel
+    column per tuple of the announced alphabet, skipping the tuples no
+    assignment produces."""
     if protocol is Protocol.MXN:
         _check_mxn_parties(parties)
     elif parties not in (None, 2):
@@ -205,29 +206,26 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     else:
         parties = None  # a fixed-size protocol's report carries no count
 
-    # announced -> {assignment: P(announced | assignment)}
-    likelihoods: dict[tuple, dict[SecretAssignment, float]] = {}
-    assignments = all_secret_assignments(protocol, parties)
-    for secrets in assignments:
-        for announced, prob in channel_row(secrets).items():
-            likelihoods.setdefault(announced, {})[secrets] = prob
-
     total = total_secret_bits(protocol, parties)
-    prior = 1.0 / len(assignments)
+    prior = 1.0 / 2**total
+    symbols = sorted(ANNOUNCED_SYMBOLS[protocol], key=_symbol_text)
+    # Posteriors of one audit share a handful of probability vectors.
+    entropies: dict[tuple[float, ...], float] = {}
     entries = []
-    for announced in sorted(likelihoods, key=_announced_sort_key):
-        weights = likelihoods[announced]
+    # A fixed-size protocol announces one symbol for each of its two parties.
+    for announced in itertools.product(symbols, repeat=parties or 2):
+        transcript = Transcript(protocol, announced)
+        weights = channel_column(transcript)
+        if not weights:
+            continue
         probability = prior * sum(weights.values())
         posterior = Posterior.from_weights(weights.items())
-        entropy = posterior.entropy_bits
+        probabilities = posterior.probabilities
+        entropy = entropies.get(probabilities)
+        if entropy is None:
+            entropy = entropies[probabilities] = shannon_entropy(probabilities)
         entries.append(
-            TranscriptLeakage(
-                Transcript(protocol, announced),
-                probability,
-                posterior,
-                entropy,
-                total - entropy,
-            )
+            TranscriptLeakage(transcript, probability, posterior, entropy, total - entropy)
         )
     secure = sum(e.probability * e.entropy_bits for e in entries)
     return LeakageReport(

@@ -5,12 +5,11 @@ ships part of it around, every party encodes its secret bits with local
 Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
 Each protocol also has its transcript channel here, P(announced | secrets),
-as a table with one row per assignment and one column per announced tuple:
-a row is the whole distribution for one assignment, a column every
-assignment that can produce one announced tuple, with its probability.
-They are reached through :func:`channel_row` and :func:`channel_column`.
-What an outside observer can infer from the announcements is the business
-of :mod:`qdleak.leakage`.
+read one column at a time: :func:`channel_column` gives every assignment
+that can produce one announced tuple, with its probability.  An audit reads
+one column per tuple of the announced alphabet (:data:`ANNOUNCED_SYMBOLS`),
+a single posterior one column.  What an outside observer can infer from
+the announcements is the business of :mod:`qdleak.leakage`.
 
 Protocols:
 
@@ -45,13 +44,13 @@ MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
 depends on that label alone.  It is the engine's branch-by-branch
 :func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`),
-taken once per label and cached: that one table is the row, a run samples
-from it, and the column reads one tuple from it.  Labels themselves need no
-state vector.  The coding alphabet acts on them linearly over GF(2), so an
-assignment's label (:func:`mxn_label`) and an announced tuple's label
-(:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
-:func:`ghz_after_ops` and :func:`paired_bell_probability` on
-:func:`mxn_encoded_state`, are what tests hold them to.
+taken once per label and cached (:func:`_label_row`): a run samples from
+that one table, and the column reads one tuple from it.  Labels themselves
+need no state vector.  The coding alphabet acts on them linearly over
+GF(2), so an assignment's label (:func:`mxn_label`) and an announced
+tuple's label (:func:`deduce_ghz_from_bells`) are each a few XORs.  The
+engine versions, :func:`ghz_after_ops` and :func:`paired_bell_probability`
+on :func:`mxn_encoded_state`, are what tests hold them to.
 
 All run functions are deterministic given their arguments, plus the rng for
 MXN, which consumes exactly one uniform draw per pair, in pair order.
@@ -74,6 +73,7 @@ from .qstate import (
     KET_LABELS,
     PauliOp,
     StateVector,
+    all_ghz_labels,
     apply_pauli,
     bell_state,
     ghz_label_of,
@@ -113,6 +113,12 @@ def as_bits(value: BitsLike, width: int) -> Bits:
     if len(seq) != width or not all(map(is_bit, seq)):
         raise ValueError(f"expected {width} bits, got {value!r}")
     return tuple(int(b) for b in seq)
+
+
+def _check_bit(value) -> int:
+    if not is_bit(value):
+        raise ValueError(f"expected a bit 0 or 1, got {value!r}")
+    return value
 
 
 def bits_to_str(bits: Iterable[int]) -> str:
@@ -173,7 +179,7 @@ _SECRET_SHAPE = {
 
 # The symbols one announced position may hold; a transcript announces one
 # symbol per party.
-_ANNOUNCED_SYMBOLS = {
+ANNOUNCED_SYMBOLS = {
     Protocol.NBA: tuple(BellLabel),
     Protocol.JZ: KET_LABELS,
     Protocol.OTP: ("0", "1"),
@@ -246,7 +252,7 @@ class Transcript:
     def __post_init__(self):
         a = self.announced
         _, _, lo, hi = _SECRET_SHAPE[self.protocol]
-        symbols = _ANNOUNCED_SYMBOLS[self.protocol]
+        symbols = ANNOUNCED_SYMBOLS[self.protocol]
         if not (lo + 1 <= len(a) <= hi + 1 and all(x in symbols for x in a)):
             raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}")
 
@@ -294,7 +300,7 @@ def mxn_alice_op_for_bits(bits: Bits) -> PauliOp:
 
 def flip_op_for_bit(bit: int) -> PauliOp:
     """One-bit coding shared by JZ and MXN parties 1..N-1: 0->I, 1->isy."""
-    return _FLIP_OP_FOR_BIT[bit]
+    return _FLIP_OP_FOR_BIT[_check_bit(bit)]
 
 
 # --- NBA ----------------------------------------------------------------
@@ -352,15 +358,10 @@ def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
     return RunRecord(secrets, transcript, decoded)
 
 
-def nba_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """P(announced | secrets) over the four equally likely initial labels."""
-    alice, bob = secrets.alice, secrets.others[0]
-    return {(i, nba_final_label(alice, bob, i)): 0.25 for i in BellLabel}
-
-
 def nba_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments whose :func:`nba_row` holds the announced (initial,
-    final) pair, each at the initial label's 0.25."""
+    """The assignments that can produce the announced (initial, final)
+    pair, each at the initial label's 0.25: the four whose bits XOR to
+    what the label difference publishes."""
     return {
         SecretAssignment(Protocol.NBA, a, (b,)): 0.25
         for a, b in nba_consistent_pairs(*announced)
@@ -395,12 +396,6 @@ def basis_labels_of(label: str) -> tuple[str, str]:
     raise ValueError(f"unknown ket label {label!r}")
 
 
-def _check_bit(value) -> int:
-    if not is_bit(value):
-        raise ValueError(f"expected a bit 0 or 1, got {value!r}")
-    return value
-
-
 def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
     """The measured ket label after both one-bit encodings.
 
@@ -427,15 +422,9 @@ def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
     return RunRecord(secrets, transcript, decoded)
 
 
-def jz_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """P(announced | secrets) over the four equally likely initial kets."""
-    alice, bob = secrets.alice[0], secrets.others[0][0]
-    return {(i, jz_outcome_label(alice, bob, i)): 0.25 for i in KET_LABELS}
-
-
 def jz_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments whose :func:`jz_row` holds the announced (initial,
-    outcome) pair, each at the initial ket's 0.25: the two whose bits
+    """The assignments that can produce the announced (initial, outcome)
+    pair, each at the initial ket's 0.25: the two whose bits
     differ exactly when the ket flipped, and none for an outcome outside
     the preparation basis."""
     initial, outcome = announced
@@ -457,12 +446,6 @@ def jz_decode(own: int, initial: str, outcome: str) -> int:
 
 
 # --- OTP ----------------------------------------------------------------
-
-
-def otp_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """P(ciphertexts | plaintexts) over the two equally likely key bits."""
-    alice, bob = secrets.alice[0], secrets.others[0][0]
-    return {(str(alice ^ key), str(bob ^ key)): 0.5 for key in (0, 1)}
 
 
 def otp_column(announced: tuple) -> dict[SecretAssignment, float]:
@@ -563,7 +546,7 @@ def _label_row(label: GhzLabel) -> dict[tuple, float]:
     """The joint law of the N pair outcomes for every assignment encoding
     ``label``: the engine walk on the all-zero multiplet tensor the
     labelled one, which equals each such :func:`mxn_encoded_state` up to
-    a sign.  Shared; callers copy it before handing it out."""
+    a sign.  Shared, so callers only read it."""
     home = ghz_state(GhzLabel(0, (0,) * (label.num_qubits - 1)))
     return paired_bell_distribution(tensor(home, ghz_state(label)))
 
@@ -573,7 +556,7 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     order, announce the labels, decode per party.
 
     The measurement samples from the joint outcome law of the secrets' GHZ
-    label (:func:`mxn_row`): pair by pair, one ``rng.random()`` per pair
+    label (:func:`_label_row`): pair by pair, one ``rng.random()`` per pair
     against the conditional law of that pair's label given the labels so
     far, in BellLabel order, skipping labels of conditional probability at
     most ``ATOL / 4`` and falling back to the last label kept.  That is the
@@ -634,15 +617,20 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     x is the XOR of the minus bits.  Z tensor Z on pair i times pair 0 is
     Z_0 Z_i on both multiplets, which reads (-1)^y_i, so y_i = p_0 ^ p_i
     with p = 1 for psi.  Every well-formed tuple thus names exactly one
-    label."""
+    label, the shared one of :func:`~qdleak.qstate.all_ghz_labels`."""
     outcomes = tuple(outcomes)
     n = len(outcomes)
     if not 2 <= n <= 6:
         raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    psi, minus = zip(*(_BELL_BITS[label] for label in outcomes))
-    return {GhzLabel(sum(minus) % 2, tuple(p ^ psi[0] for p in psi[1:]))}
+    psi0 = _BELL_BITS[outcomes[0]][0]
+    x = y = 0
+    for label in outcomes:
+        psi, minus = _BELL_BITS[label]
+        x ^= minus
+        y = (y << 1) | (psi ^ psi0)  # pair 0 adds a leading 0 bit
+    return {all_ghz_labels(n)[(x << (n - 1)) | y]}
 
 
 def paired_bell_probability(
@@ -681,15 +669,9 @@ def paired_bell_distribution(
     return dist
 
 
-def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """P(announced | secrets): the joint law of the N pair outcomes, the
-    engine walk of the secrets' GHZ label."""
-    return dict(_label_row(mxn_label(secrets)))
-
-
 def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments whose :func:`mxn_row` holds the announced tuple: the
-    two encoding the one GHZ label the tuple names, each at that label's
+    """The assignments that can produce the announced tuple: the two
+    encoding the one GHZ label the tuple names, each at that label's
     probability for the tuple."""
     (label,) = deduce_ghz_from_bells(announced)
     prob = _label_row(label)[announced]
@@ -708,6 +690,7 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     n = len(transcript.announced)
     if not 0 <= party < n:
         raise ValueError(f"party {party} out of range for {n} parties")
+    own = as_bits(own, 2 if party == 0 else 1)
     (label,) = deduce_ghz_from_bells(transcript.announced)
     return _decode_from_label(label, party, own)
 
@@ -730,23 +713,17 @@ def _decode_from_label(label: GhzLabel, party: int, own: Bits) -> dict[int, Bits
 
 # --- transcript channels ------------------------------------------------
 
-# protocol -> (row, column) of P(announced | secrets)
-_CHANNELS = {
-    Protocol.NBA: (nba_row, nba_column),
-    Protocol.JZ: (jz_row, jz_column),
-    Protocol.OTP: (otp_row, otp_column),
-    Protocol.MXN: (mxn_row, mxn_column),
+# protocol -> column of P(announced | secrets)
+_COLUMNS = {
+    Protocol.NBA: nba_column,
+    Protocol.JZ: jz_column,
+    Protocol.OTP: otp_column,
+    Protocol.MXN: mxn_column,
 }
-
-
-def channel_row(secrets: SecretAssignment) -> dict[tuple, float]:
-    """Every announced tuple the assignment can produce, with its
-    probability averaged over the public choices a run draws uniformly."""
-    return _CHANNELS[secrets.protocol][0](secrets)
 
 
 def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
     """Every assignment that can produce the transcript, with
-    ``channel_row(secrets)[transcript.announced]``, computed from the
-    announced tuple without building any row."""
-    return _CHANNELS[transcript.protocol][1](transcript.announced)
+    P(announced | secrets) averaged over the public choice a run draws
+    uniformly (initial Bell label, initial ket, key bit; none for mxn)."""
+    return _COLUMNS[transcript.protocol](transcript.announced)

@@ -15,9 +15,10 @@ from .protocols import (
     MXN_PARTIES,
     Protocol,
     RunRecord,
+    SecretAssignment,
     Transcript,
     bits_to_str,
-    ghz_after_ops,
+    mxn_label,
     mxn_ops_for_secrets,
     nba_consistent_pairs,
     nba_op_for_bits,
@@ -41,20 +42,25 @@ def announced_text(transcript: Transcript) -> list[str]:
     ]
 
 
-def _posterior_doc(posterior: Posterior) -> list[dict[str, Any]]:
-    return [
-        {
-            "secrets": [bits_to_str(bits) for bits in assignment.full_bits],
-            "prob": prob,
-        }
-        for assignment, prob in posterior.hypotheses
-    ]
+def _posterior_doc(
+    posterior: Posterior, rendered: dict[SecretAssignment, tuple[str, ...]]
+) -> list[dict[str, Any]]:
+    """The hypotheses as fresh dicts and lists; ``rendered`` keeps each
+    assignment's bit strings, so a document renders them once."""
+    doc = []
+    for assignment, prob in posterior.hypotheses:
+        texts = rendered.get(assignment)
+        if texts is None:
+            texts = rendered[assignment] = tuple(map(bits_to_str, assignment.full_bits))
+        doc.append({"secrets": list(texts), "prob": prob})
+    return doc
 
 
 def leakage_document(report: LeakageReport) -> dict[str, Any]:
     params: dict[str, Any] = {}
     if report.parties is not None:
         params["parties"] = report.parties
+    rendered: dict[SecretAssignment, tuple[str, ...]] = {}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "leakage-report",
@@ -71,7 +77,7 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
                 "probability": entry.probability,
                 "entropy_bits": entry.entropy_bits,
                 "leaked_bits": entry.leaked_bits,
-                "posterior": _posterior_doc(entry.posterior),
+                "posterior": _posterior_doc(entry.posterior, rendered),
             }
             for entry in report.per_transcript
         ],
@@ -278,7 +284,7 @@ def run_text(record: RunRecord, seed: int | None = None, verbose: bool = False) 
     if verbose and protocol is Protocol.MXN:
         ops = mxn_ops_for_secrets(record.secrets)
         lines.append(f"operations: {' '.join(op.text for op in ops)}")
-        lines.append(f"encoded: {ghz_after_ops(ops).text}")
+        lines.append(f"encoded: {mxn_label(record.secrets).text}")
     if verbose and protocol is not Protocol.MXN:
         ops = two_party_ops(record.secrets)
         lines.append(f"operations: {' '.join(op.text for op in ops)}")

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdleak.cli import main
+from qdleak.qstate import StateVector, ket
 from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA
 
 
@@ -53,6 +54,30 @@ def test_run_mxn_seeded_and_verbose(capsys):
     assert code == 0
     assert "encoded: ghz_101" in out
     assert "alice recovers: bob=0 charlie=1" in out
+
+
+def test_mxn_run_verbose_builds_no_state_vector(capsys, monkeypatch):
+    """The encoded label is read off the secrets' bits: once the label's
+    outcome table is cached, a verbose run constructs no StateVector."""
+    argv = [
+        "run", "--protocol", "mxn", "--parties", "3", "--alice", "00",
+        "--others", "0,1", "--seed", "7", "--verbose",
+    ]
+    _, cold, _ = run_cli(capsys, *argv)
+    built = []
+    construct = StateVector.__init__
+
+    def counting(self, amplitudes):
+        built.append(1)
+        construct(self, amplitudes)
+
+    monkeypatch.setattr(StateVector, "__init__", counting)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (0, cold, "")
+    assert "encoded: ghz_101" in out
+    assert built == []
+    ket("0")  # the counter sees a construction
+    assert built == [1]
 
 
 def test_same_seed_means_byte_identical_output(capsys):

@@ -32,11 +32,9 @@ from qdleak.protocols import (
     all_secret_assignments,
     channel_column,
     jz_outcome_label,
-    jz_row,
     mxn_encoded_state,
     mxn_secrets,
     nba_final_label,
-    nba_row,
     paired_bell_probability,
     run_jz,
     run_mxn,
@@ -46,6 +44,7 @@ from qdleak.qstate import ATOL, KET_LABELS, BellLabel, StateVector, ket, make_rn
 from qdleak.report import operation_table_text
 
 import coset_oracle
+from channel_reference import jz_row, nba_row, reference_leakage_report
 
 ALL_JZ_TRANSCRIPTS = [
     ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"),
@@ -340,6 +339,39 @@ def test_leakage_report_matches_the_coset_oracle(protocol, parties):
     for announced, support in predicted.items():
         assert support_bits(entries[announced].posterior) == support
         assert abs(entries[announced].entropy_bits - math.log2(len(support))) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [
+        (Protocol.NBA, None),
+        (Protocol.JZ, None),
+        (Protocol.OTP, None),
+        (Protocol.MXN, 3),
+        (Protocol.MXN, 4),
+        (Protocol.MXN, 5),
+        (Protocol.MXN, 6),
+    ],
+)
+def test_leakage_report_is_the_row_table_audit(protocol, parties):
+    """Column by column, the report equals the audit built from every row
+    at once, float for float and in the same transcript order."""
+    report = leakage_report(protocol, parties)
+    want = reference_leakage_report(protocol, parties)
+    assert [e.transcript for e in report.per_transcript] == [
+        e.transcript for e in want.per_transcript
+    ]
+    for got, expected in zip(report.per_transcript, want.per_transcript):
+        assert got.probability == expected.probability
+        assert got.entropy_bits == expected.entropy_bits
+        assert got.leaked_bits == expected.leaked_bits
+        assert got.posterior.hypotheses == expected.posterior.hypotheses
+    assert (report.total_bits, report.secure_bits, report.leaked_bits) == (
+        want.total_bits,
+        want.secure_bits,
+        want.leaked_bits,
+    )
+    assert report == want
 
 
 def test_two_party_paths_build_no_state_vector(monkeypatch):

@@ -7,18 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdleak.leakage import eve_posterior, leakage_report
 from qdleak.protocols import (
     BIT_PAIRS,
     Protocol,
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _label_row,
     all_secret_assignments,
     as_bits,
     basis_labels_of,
     bits_to_str,
     channel_column,
-    channel_row,
     deduce_ghz_from_bells,
     flip_op_for_bit,
     ghz_after_ops,
@@ -30,7 +31,6 @@ from qdleak.protocols import (
     mxn_encoded_state,
     mxn_label,
     mxn_ops_for_secrets,
-    mxn_row,
     mxn_secrets,
     nba_consistent_pairs,
     nba_decode,
@@ -60,6 +60,8 @@ from qdleak.qstate import (
     project_bell,
     tensor,
 )
+
+from channel_reference import channel_row, mxn_row
 
 
 def oracle_joint_bell_prob(state, labels):
@@ -204,21 +206,21 @@ def test_transcript_accepts_exactly_well_formed_announcements(drawn):
         (Protocol.OTP, 2),
         (Protocol.MXN, 3),
         (Protocol.MXN, 4),
+        (Protocol.MXN, 5),
+        (Protocol.MXN, 6),
     ],
 )
 def test_channel_column_is_the_row_column(protocol, parties):
     """For every tuple of the announced alphabet, the column lists exactly
-    the assignments whose row holds the tuple, at the row's probability."""
+    the assignments whose row holds the tuple, at the row's probability,
+    float for float: both read the same table."""
     symbols = ANNOUNCEMENTS[protocol][2]
     rows = {s: channel_row(s) for s in all_secret_assignments(protocol, parties)}
     for row in rows.values():
         assert sum(row.values()) == pytest.approx(1.0, abs=ATOL)
     for announced in itertools.product(symbols, repeat=parties):
         want = {s: row[announced] for s, row in rows.items() if announced in row}
-        column = channel_column(Transcript(protocol, announced))
-        assert column.keys() == want.keys()
-        for secrets, prob in column.items():
-            assert prob == pytest.approx(want[secrets], abs=ATOL)
+        assert channel_column(Transcript(protocol, announced)) == want
 
 
 # --- coding alphabets --------------------------------------------------
@@ -243,6 +245,13 @@ def test_two_bit_alphabets_differ_as_documented():
     ]
     assert flip_op_for_bit(0) is PauliOp.I
     assert flip_op_for_bit(1) is PauliOp.ISY
+
+
+@pytest.mark.parametrize("bit", [2, "1", True, -1])
+def test_flip_op_for_bit_rejects_non_bits(bit):
+    with pytest.raises(ValueError) as exc:
+        flip_op_for_bit(bit)
+    assert exc.type is ValueError
 
 
 # --- NBA ---------------------------------------------------------------
@@ -492,6 +501,19 @@ def test_deduce_identifies_the_label_behind_every_reachable_tuple():
         assert reached == 4**parties
 
 
+@pytest.mark.parametrize("parties", range(2, 7))
+def test_deduce_hands_out_the_shared_label(parties):
+    """Every tuple names the label its XOR formula gives, as the very
+    object all_ghz_labels holds."""
+    shared = all_ghz_labels(parties)
+    for outcome in itertools.product(BellLabel, repeat=parties):
+        (label,) = deduce_ghz_from_bells(outcome)
+        psi = [int(b.text.startswith("psi")) for b in outcome]
+        minus = [int(b.text.endswith("-")) for b in outcome]
+        assert label == GhzLabel(sum(minus) % 2, tuple(p ^ psi[0] for p in psi[1:]))
+        assert any(label is candidate for candidate in shared)
+
+
 def test_deduce_two_party_case():
     assert deduce_ghz_from_bells((BellLabel.PHI_PLUS, BellLabel.PHI_PLUS)) == {
         GhzLabel(0, (0,))
@@ -604,6 +626,19 @@ def test_mxn_decode_rejects_impossible_own_bits():
         mxn_decode(0, (0, 0), Transcript(Protocol.NBA, (BellLabel.PSI_PLUS,) * 2))
 
 
+@pytest.mark.parametrize(
+    "party, own",
+    [(0, (True, 0)), (0, (0, 2)), (1, (0, 1)), (0, (0,))],
+)
+def test_mxn_decode_rejects_malformed_own_bits(party, own):
+    """Own bits of the wrong width, or not bits (bools included), are a
+    malformed argument, not a corrupted transcript."""
+    record = run_mxn(mxn_secrets("00", [0, 1]), make_rng(7))
+    with pytest.raises(ValueError) as exc:
+        mxn_decode(party, own, record.transcript)
+    assert exc.type is ValueError
+
+
 @pytest.mark.parametrize("parties, sample", [(3, None), (4, None), (5, None), (6, 12)])
 def test_mxn_row_is_the_engine_walk_of_the_encoded_state(parties, sample):
     """Float for float and in the same order: the encoded state is the
@@ -619,8 +654,11 @@ def test_mxn_row_is_the_engine_walk_of_the_encoded_state(parties, sample):
         assert list(row) == list(want)
 
 
-def test_mxn_row_hands_out_a_copy():
+def test_label_rows_stay_unmutated():
+    """The cached label tables are shared: audits, columns and runs read
+    them and leave them as the engine walk made them."""
     secrets = mxn_secrets("01", [1, 0, 1])
+    label = mxn_label(secrets)
     row = mxn_row(secrets)
     want = dict(row)
     announced = next(iter(row))
@@ -628,6 +666,16 @@ def test_mxn_row_hands_out_a_copy():
     row[(BellLabel.PHI_PLUS,) * 4] = 0.5
     assert mxn_row(secrets) == want
     assert mxn_column(announced)[secrets] == want[announced]
+    leakage_report(Protocol.MXN, 4)
+    for candidate in itertools.product(BellLabel, repeat=4):
+        channel_column(Transcript(Protocol.MXN, candidate))
+        eve_posterior(Transcript(Protocol.MXN, candidate))
+    for seed in range(20):
+        run_mxn(secrets, make_rng(seed))
+    assert _label_row(label) == want
+    assert list(_label_row(label)) == list(want)
+    home = ghz_state(GhzLabel(0, (0, 0, 0)))
+    assert want == paired_bell_distribution(tensor(home, ghz_state(label)))
 
 
 def test_mxn_encoded_state_carries_the_secret_label():

@@ -82,6 +82,19 @@ def test_leakage_document_entropy_recomputes_from_posterior():
         )
 
 
+def test_leakage_document_entries_share_no_containers():
+    """Bit strings are rendered once per assignment, but every hypothesis
+    gets its own list, so editing one entry leaves the others alone."""
+    doc = leakage_document(leakage_report(Protocol.MXN, 3))
+    hypotheses = [h for t in doc["transcripts"] for h in t["posterior"]]
+    assert len({id(h) for h in hypotheses}) == len(hypotheses)
+    assert len({id(h["secrets"]) for h in hypotheses}) == len(hypotheses)
+    first = hypotheses[0]["secrets"]
+    twin = next(h["secrets"] for h in hypotheses[1:] if h["secrets"] == first)
+    first[0] = "edited"
+    assert twin[0] != "edited"
+
+
 def test_run_documents_validate(tmp_path):
     for record in sample_records():
         doc = run_document(record, seed=9)
