@@ -14,22 +14,15 @@ import argparse
 import json
 
 from qdleak.leakage import leakage_report
-from qdleak.protocols import Protocol
+from qdleak.protocols import MXN_PARTIES, Protocol
 from qdleak.report import leakage_document
 
 
 def audit_rows():
-    jobs = [
-        (Protocol.NBA, None),
-        (Protocol.JZ, None),
-        (Protocol.OTP, None),
-        (Protocol.MXN, 3),
-        (Protocol.MXN, 4),
-        (Protocol.MXN, 5),
-        (Protocol.MXN, 6),
-    ]
-    for protocol, parties in jobs:
-        yield leakage_report(protocol, parties)
+    for protocol in (Protocol.NBA, Protocol.JZ, Protocol.OTP):
+        yield leakage_report(protocol)
+    for parties in MXN_PARTIES:
+        yield leakage_report(Protocol.MXN, parties)
 
 
 def main() -> int:

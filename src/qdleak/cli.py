@@ -94,12 +94,27 @@ def _parse_bits(value: str | None, width: int, flag: str):
         raise UsageError(f"{flag}: {exc}") from None
 
 
+def _check_parties(protocol: Protocol, parties: int | None) -> None:
+    if protocol is Protocol.MXN:
+        _reject(parties is None, "--parties is required for mxn")
+        _reject(
+            parties not in MXN_PARTIES,
+            f"--parties must be in {_MXN_RANGE}, got {parties}",
+        )
+    else:
+        _reject(parties is not None, f"--parties does not apply to {protocol.text}")
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     protocol = Protocol(args.protocol)
     _reject(args.seed < 0, f"--seed must be non-negative, got {args.seed}")
+    if protocol is Protocol.MXN:
+        _reject(args.bob is not None, "--bob does not apply to mxn (use --others)")
+        _reject(args.initial is not None, "--initial does not apply to mxn")
+    else:
+        _reject(args.others is not None, f"--others does not apply to {protocol.text}")
+    _check_parties(protocol, args.parties)
     if protocol is Protocol.NBA:
-        _reject(args.others is not None, "--others does not apply to nba")
-        _reject(args.parties is not None, "--parties does not apply to nba")
         alice = _parse_bits(args.alice, 2, "--alice")
         bob = _parse_bits(args.bob, 2, "--bob")
         _reject(args.initial is None, "--initial is required for nba")
@@ -109,8 +124,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from None
         record = run_nba(nba_secrets(alice, bob), initial)
     elif protocol is Protocol.JZ:
-        _reject(args.others is not None, "--others does not apply to jz")
-        _reject(args.parties is not None, "--parties does not apply to jz")
         alice = _parse_bits(args.alice, 1, "--alice")
         bob = _parse_bits(args.bob, 1, "--bob")
         _reject(args.initial is None, "--initial is required for jz")
@@ -120,13 +133,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
         record = run_jz(jz_secrets(alice[0], bob[0]), args.initial)
     else:
-        _reject(args.bob is not None, "--bob does not apply to mxn (use --others)")
-        _reject(args.initial is not None, "--initial does not apply to mxn")
-        _reject(args.parties is None, "--parties is required for mxn")
-        _reject(
-            args.parties not in MXN_PARTIES,
-            f"--parties must be in {_MXN_RANGE}, got {args.parties}",
-        )
         alice = _parse_bits(args.alice, 2, "--alice")
         _reject(args.others is None, "--others is required for mxn")
         raw = args.others.split(",")
@@ -150,18 +156,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     protocol = Protocol(args.protocol)
-    if protocol is Protocol.MXN:
-        _reject(args.parties is None, "--parties is required for mxn")
-        _reject(
-            args.parties not in MXN_PARTIES,
-            f"--parties must be in {_MXN_RANGE}, got {args.parties}",
-        )
-        rep = leakage_report(protocol, args.parties)
-    else:
-        _reject(
-            args.parties is not None, f"--parties does not apply to {protocol.text}"
-        )
-        rep = leakage_report(protocol)
+    _check_parties(protocol, args.parties)
+    rep = leakage_report(protocol, args.parties)
     if args.format == "json":
         print(json.dumps(report_mod.leakage_document(rep), indent=2, sort_keys=True))
     else:

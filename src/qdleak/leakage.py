@@ -33,16 +33,16 @@ import numpy as np
 
 from .protocols import (
     ANNOUNCED_SYMBOLS,
-    MXN_PARTIES,
     Protocol,
     SecretAssignment,
     Transcript,
     TranscriptError,
     basis_labels_of,
     channel_column,
+    party_count,
     total_secret_bits,
 )
-from .qstate import ATOL, KET_LABELS, BellLabel
+from .qstate import ATOL, KET_LABELS
 
 PROB_FLOOR = 1e-9
 
@@ -92,20 +92,10 @@ class Posterior:
         return shannon_entropy(self.probabilities)
 
 
-
-def _check_mxn_parties(parties: int | None) -> None:
-    if parties not in MXN_PARTIES:
-        raise ValueError(
-            f"mxn audits need parties in {MXN_PARTIES[0]}..{MXN_PARTIES[-1]}"
-        )
-
-
 def eve_posterior(transcript: Transcript) -> Posterior:
     """Posterior over all secret assignments given one public transcript,
     starting from a uniform prior: the transcript's column of the channel,
     normalized."""
-    if transcript.protocol is Protocol.MXN:
-        _check_mxn_parties(len(transcript.announced))
     return Posterior.from_weights(channel_column(transcript).items())
 
 
@@ -187,33 +177,22 @@ class LeakageReport:
     per_transcript: tuple[TranscriptLeakage, ...]
 
 
-def _symbol_text(symbol) -> str:
-    return symbol.text if isinstance(symbol, BellLabel) else symbol
-
-
 def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageReport:
     """Enumerate every reachable transcript (exactly, no sampling) under
     uniform secrets (and uniform initial state / key where one exists) and
     audit each one's posterior.
 
     Transcripts come in the order of their symbols' texts: one channel
-    column per tuple of the announced alphabet, skipping the tuples no
-    assignment produces."""
-    if protocol is Protocol.MXN:
-        _check_mxn_parties(parties)
-    elif parties not in (None, 2):
-        raise ValueError(f"{protocol.text} has a fixed party count of 2")
-    else:
-        parties = None  # a fixed-size protocol's report carries no count
-
-    total = total_secret_bits(protocol, parties)
+    column per tuple of :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS`,
+    skipping the tuples no assignment produces.  An mxn column refuses a
+    party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
+    n = party_count(protocol, parties)
+    total = total_secret_bits(protocol, n)
     prior = 1.0 / 2**total
-    symbols = sorted(ANNOUNCED_SYMBOLS[protocol], key=_symbol_text)
     # Posteriors of one audit share a handful of probability vectors.
     entropies: dict[tuple[float, ...], float] = {}
     entries = []
-    # A fixed-size protocol announces one symbol for each of its two parties.
-    for announced in itertools.product(symbols, repeat=parties or 2):
+    for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n):
         transcript = Transcript(protocol, announced)
         weights = channel_column(transcript)
         if not weights:
@@ -230,7 +209,8 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     secure = sum(e.probability * e.entropy_bits for e in entries)
     return LeakageReport(
         protocol=protocol,
-        parties=parties,
+        # a two-party protocol's report carries no count
+        parties=n if protocol is Protocol.MXN else None,
         total_bits=total,
         secure_bits=secure,
         leaked_bits=total - secure,

@@ -7,9 +7,15 @@ plus the public announcements let each party decode everyone else's bits.
 Each protocol also has its transcript channel here, P(announced | secrets),
 read one column at a time: :func:`channel_column` gives every assignment
 that can produce one announced tuple, with its probability.  An audit reads
-one column per tuple of the announced alphabet (:data:`ANNOUNCED_SYMBOLS`),
-a single posterior one column.  What an outside observer can infer from
+one column per tuple of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`,
+whose symbols are listed in audit order (the order of their texts); a
+single posterior reads one column.  What an outside observer can infer from
 the announcements is the business of :mod:`qdleak.leakage`.
+
+Every layer takes the party counts decided here once: :func:`party_count`
+accepts None or 2 for nba, jz and otp and 2..6 for mxn assignments,
+transcripts and label maps; mxn runs, decoding, columns, posteriors and
+audits take :data:`MXN_PARTIES` (3..6).
 
 Protocols:
 
@@ -70,7 +76,6 @@ from .qstate import (
     ATOL,
     BellLabel,
     GhzLabel,
-    KET_LABELS,
     PauliOp,
     StateVector,
     all_ghz_labels,
@@ -128,12 +133,51 @@ def bits_to_str(bits: Iterable[int]) -> str:
 BIT_PAIRS: tuple[Bits, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
+# Each protocol's input shape: (party 0's bit width, every other party's
+# bit width, the party counts it takes).  MXN assignments, transcripts and
+# label maps also take N=2, where criterion 8 checks the entanglement swap.
+_SECRET_SHAPE = {
+    Protocol.NBA: (2, 2, range(2, 3)),
+    Protocol.JZ: (1, 1, range(2, 3)),
+    Protocol.OTP: (1, 1, range(2, 3)),
+    Protocol.MXN: (2, 1, range(2, 7)),
+}
+
+# The party counts MXN runs, decoding, columns, posteriors and audits take.
+MXN_PARTIES = range(3, 7)
+
+
+def party_count(
+    protocol: Protocol, parties: int | None = None, error: type[ValueError] = ValueError
+) -> int:
+    """The number of parties an input of ``protocol`` covers: ``None`` or 2
+    for a two-party protocol, an explicit int in 2..6 for mxn.  Bools and
+    non-ints are refused, as :func:`~qdleak.qstate.is_bit` refuses them."""
+    counts = _SECRET_SHAPE[protocol][2]
+    if parties is None and len(counts) == 1:
+        return counts[0]
+    is_int = type(parties) is int or isinstance(parties, np.integer)  # no bools
+    if not is_int or parties not in counts:
+        span = f"{counts[0]}..{counts[-1]}" if len(counts) > 1 else counts[0]
+        raise error(f"{protocol.text} takes {span} parties, got {parties!r}")
+    return int(parties)
+
+
+def _check_mxn_parties(parties: int | None, what: str = "audits") -> int:
+    if parties not in MXN_PARTIES:
+        raise ValueError(
+            f"mxn {what} need parties in {MXN_PARTIES[0]}..{MXN_PARTIES[-1]}"
+        )
+    return parties
+
+
 @dataclass(frozen=True)
 class SecretAssignment:
     """Everyone's secret bits: party 0 ("alice") plus the other parties.
 
-    Bit widths are protocol-fixed: NBA 2+2, JZ and OTP 1+1, MXN 2 for party 0
-    and 1 for each of parties 1..N-1 (N = total parties, 2..6).
+    Bit widths and party counts come from the protocol's shape: NBA 2+2,
+    JZ and OTP 1+1, MXN 2 for party 0 and 1 for each of parties 1..N-1.
+    Lists are stored as tuples, so an assignment is always hashable.
     """
 
     protocol: Protocol
@@ -141,13 +185,12 @@ class SecretAssignment:
     others: tuple[Bits, ...]
 
     def __post_init__(self):
-        alice_w, other_w, lo, hi = _SECRET_SHAPE[self.protocol]
+        object.__setattr__(self, "alice", tuple(self.alice))
+        object.__setattr__(self, "others", tuple(map(tuple, self.others)))
+        alice_w, other_w, _ = _SECRET_SHAPE[self.protocol]
         if len(self.alice) != alice_w or not all(map(is_bit, self.alice)):
             raise ValueError(f"party 0 needs {alice_w} bits for {self.protocol.text}")
-        if not lo <= len(self.others) <= hi:
-            raise ValueError(
-                f"{self.protocol.text} takes {lo}..{hi} other parties, got {len(self.others)}"
-            )
+        party_count(self.protocol, 1 + len(self.others))
         for bits in self.others:
             if len(bits) != other_w or not all(map(is_bit, bits)):
                 raise ValueError(f"each other party needs {other_w} bits, got {bits!r}")
@@ -164,24 +207,12 @@ class SecretAssignment:
         return self.full_bits[party]
 
 
-# The party counts MXN runs, audits and posteriors accept.  Assignments,
-# transcripts and the GHZ helpers also take N=2, where criterion 8 checks
-# the entanglement swap.
-MXN_PARTIES = range(3, 7)
-
-# (alice width, other width, min others, max others)
-_SECRET_SHAPE = {
-    Protocol.NBA: (2, 2, 1, 1),
-    Protocol.JZ: (1, 1, 1, 1),
-    Protocol.OTP: (1, 1, 1, 1),
-    Protocol.MXN: (2, 1, 1, 5),
-}
-
-# The symbols one announced position may hold; a transcript announces one
+# The symbols one announced position may hold, in the order of their
+# texts, which is the audit's transcript order; a transcript announces one
 # symbol per party.
 ANNOUNCED_SYMBOLS = {
     Protocol.NBA: tuple(BellLabel),
-    Protocol.JZ: KET_LABELS,
+    Protocol.JZ: ("+", "-", "0", "1"),
     Protocol.OTP: ("0", "1"),
     Protocol.MXN: tuple(BellLabel),
 }
@@ -210,31 +241,29 @@ def all_secret_assignments(
     protocol: Protocol, parties: int | None = None
 ) -> tuple[SecretAssignment, ...]:
     """Every possible assignment, in lexicographic bit order (the uniform
-    prior's support).  ``parties`` is ignored for fixed-size protocols."""
-    alice_w, other_w, lo, hi = _SECRET_SHAPE[protocol]
-    if lo == hi:
-        parties = lo + 1
-    if parties is None or not lo + 1 <= parties <= hi + 1:
-        raise ValueError(
-            f"{protocol.text} needs an explicit party count in {lo + 1}..{hi + 1}"
-        )
+    prior's support)."""
+    alice_w, other_w, _ = _SECRET_SHAPE[protocol]
     return tuple(
         SecretAssignment(protocol, alice, others)
         for alice in itertools.product((0, 1), repeat=alice_w)
         for others in itertools.product(
-            itertools.product((0, 1), repeat=other_w), repeat=parties - 1
+            itertools.product((0, 1), repeat=other_w),
+            repeat=party_count(protocol, parties) - 1,
         )
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _assignment_by_bits(protocol: Protocol) -> dict[tuple[Bits, ...], SecretAssignment]:
+    """A two-party protocol's assignments keyed by their bits, built once,
+    so its column hands out shared assignments as mxn's label map does."""
+    return {s.full_bits: s for s in all_secret_assignments(protocol)}
+
+
 def total_secret_bits(protocol: Protocol, parties: int | None = None) -> int:
     """How many secret bits one run of the protocol communicates in total."""
-    alice_w, other_w, lo, hi = _SECRET_SHAPE[protocol]
-    if lo == hi:
-        parties = lo + 1
-    if parties is None:
-        raise ValueError(f"{protocol.text} needs a party count")
-    return alice_w + other_w * (parties - 1)
+    alice_w, other_w, _ = _SECRET_SHAPE[protocol]
+    return alice_w + other_w * (party_count(protocol, parties) - 1)
 
 
 @dataclass(frozen=True)
@@ -250,10 +279,11 @@ class Transcript:
     announced: tuple
 
     def __post_init__(self):
-        a = self.announced
-        _, _, lo, hi = _SECRET_SHAPE[self.protocol]
+        a = tuple(self.announced)
+        object.__setattr__(self, "announced", a)
+        party_count(self.protocol, len(a), TranscriptError)
         symbols = ANNOUNCED_SYMBOLS[self.protocol]
-        if not (lo + 1 <= len(a) <= hi + 1 and all(x in symbols for x in a)):
+        if not all(x in symbols for x in a):
             raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}")
 
 
@@ -362,10 +392,8 @@ def nba_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments that can produce the announced (initial, final)
     pair, each at the initial label's 0.25: the four whose bits XOR to
     what the label difference publishes."""
-    return {
-        SecretAssignment(Protocol.NBA, a, (b,)): 0.25
-        for a, b in nba_consistent_pairs(*announced)
-    }
+    by_bits = _assignment_by_bits(Protocol.NBA)
+    return {by_bits[pair]: 0.25 for pair in nba_consistent_pairs(*announced)}
 
 
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
@@ -431,7 +459,8 @@ def jz_column(announced: tuple) -> dict[SecretAssignment, float]:
     if outcome not in basis_labels_of(initial):
         return {}
     flipped = int(initial != outcome)
-    return {jz_secrets(a, a ^ flipped): 0.25 for a in (0, 1)}
+    by_bits = _assignment_by_bits(Protocol.JZ)
+    return {by_bits[(a,), (a ^ flipped,)]: 0.25 for a in (0, 1)}
 
 
 def jz_decode(own: int, initial: str, outcome: str) -> int:
@@ -452,7 +481,8 @@ def otp_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The plaintext pairs the announced ciphertexts decrypt to, one per
     key bit, each at 0.5."""
     cipher_a, cipher_b = map(int, announced)
-    return {otp_secrets(cipher_a ^ key, cipher_b ^ key): 0.5 for key in (0, 1)}
+    by_bits = _assignment_by_bits(Protocol.OTP)
+    return {by_bits[(cipher_a ^ key,), (cipher_b ^ key,)]: 0.5 for key in (0, 1)}
 
 
 # --- MXN ----------------------------------------------------------------
@@ -483,9 +513,7 @@ def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
     labels always finds exactly one match.  This is the engine reference
     :func:`mxn_label` is held to."""
     ops = tuple(ops)
-    n = len(ops)
-    if not 2 <= n <= 6:
-        raise ValueError(f"ops must cover 2..6 parties, got {n}")
+    n = party_count(Protocol.MXN, len(ops))
     if any(op not in (PauliOp.I, PauliOp.ISY) for op in ops[1:]):
         raise ValueError("parties 1..N-1 may only encode with I or isy")
     state = ghz_state(GhzLabel(0, (0,) * (n - 1)))
@@ -564,11 +592,7 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     make, so a seed gives the same transcript either way.  The announced
     tuple is then turned into its GHZ label once, and every party decodes
     from it."""
-    n = secrets.num_parties
-    if n not in MXN_PARTIES:
-        raise ValueError(
-            f"run_mxn supports {MXN_PARTIES[0]}..{MXN_PARTIES[-1]} parties, got {n}"
-        )
+    n = _check_mxn_parties(secrets.num_parties, "runs")
     branches = _label_row(mxn_label(secrets)).items()
     for pair in range(n):
         marginal = dict.fromkeys(BellLabel, 0.0)
@@ -619,9 +643,7 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     with p = 1 for psi.  Every well-formed tuple thus names exactly one
     label, the shared one of :func:`~qdleak.qstate.all_ghz_labels`."""
     outcomes = tuple(outcomes)
-    n = len(outcomes)
-    if not 2 <= n <= 6:
-        raise TranscriptError(f"expected 2..6 Bell labels, got {n}")
+    n = party_count(Protocol.MXN, len(outcomes), TranscriptError)
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
     psi0 = _BELL_BITS[outcomes[0]][0]
@@ -673,6 +695,7 @@ def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments that can produce the announced tuple: the two
     encoding the one GHZ label the tuple names, each at that label's
     probability for the tuple."""
+    _check_mxn_parties(len(announced))
     (label,) = deduce_ghz_from_bells(announced)
     prob = _label_row(label)[announced]
     return {secrets: prob for secrets in _assignments_for_label(label)}
@@ -687,7 +710,7 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     between them, so the own-bits filter keeps exactly one."""
     if transcript.protocol is not Protocol.MXN:
         raise TranscriptError("mxn_decode needs an MXN transcript")
-    n = len(transcript.announced)
+    n = _check_mxn_parties(len(transcript.announced), "decodings")
     if not 0 <= party < n:
         raise ValueError(f"party {party} out of range for {n} parties")
     own = as_bits(own, 2 if party == 0 else 1)

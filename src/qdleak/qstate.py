@@ -293,15 +293,15 @@ def project_bell(state: StateVector, pair: tuple[int, int]) -> tuple[BellOutcome
     return tuple(outcomes)
 
 
-def equal_up_to_phase(a: StateVector, b: StateVector, atol: float = ATOL) -> bool:
-    """True when a = e^{i theta} b for some global phase, within atol."""
+def equal_up_to_phase(a: StateVector, b: StateVector) -> bool:
+    """True when a = e^{i theta} b for some global phase, within ATOL."""
     if a.num_qubits != b.num_qubits:
         raise ValueError("states must have the same number of qubits")
     k = int(np.argmax(np.abs(b.amplitudes)))
-    if abs(a.amplitudes[k]) <= atol:
+    if abs(a.amplitudes[k]) <= ATOL:
         return False
     phase = a.amplitudes[k] / b.amplitudes[k]
-    return bool(np.allclose(a.amplitudes, phase * b.amplitudes, rtol=0.0, atol=atol))
+    return bool(np.allclose(a.amplitudes, phase * b.amplitudes, rtol=0.0, atol=ATOL))
 
 
 def ghz_label_of(state: StateVector) -> Optional[GhzLabel]:

@@ -11,11 +11,12 @@ which read one column per announced tuple, to these.
 
 from __future__ import annotations
 
-from qdleak.leakage import LeakageReport, Posterior, TranscriptLeakage, _check_mxn_parties
+from qdleak.leakage import LeakageReport, Posterior, TranscriptLeakage
 from qdleak.protocols import (
     Protocol,
     SecretAssignment,
     Transcript,
+    _check_mxn_parties,
     _label_row,
     all_secret_assignments,
     jz_outcome_label,

@@ -26,12 +26,15 @@ from qdleak.leakage import (
     total_secret_bits,
 )
 from qdleak.protocols import (
+    MXN_PARTIES,
     Protocol,
+    SecretAssignment,
     Transcript,
     TranscriptError,
     all_secret_assignments,
     channel_column,
     jz_outcome_label,
+    mxn_decode,
     mxn_encoded_state,
     mxn_secrets,
     nba_final_label,
@@ -421,3 +424,57 @@ def test_total_secret_bits():
     assert total_secret_bits(Protocol.MXN, 5) == 6
     with pytest.raises(ValueError):
         total_secret_bits(Protocol.MXN)
+
+
+# --- one input contract ---------------------------------------------------
+
+_BY_COUNT = (total_secret_bits, all_secret_assignments, leakage_report)
+
+
+def _mxn_transcript(n):
+    return Transcript(Protocol.MXN, (BellLabel.PHI_PLUS,) * n)
+
+
+# (what, call) for every entry point and every bad party count it must
+# refuse with a ValueError: never a TypeError, a KeyError or a result.
+_REFUSED = [
+    *(
+        (f"{fn.__name__}({protocol.text}, {n!r})", lambda fn=fn, p=protocol, n=n: fn(p, n))
+        for fn in _BY_COUNT
+        for protocol in Protocol
+        for n in (0, 9, 3.0, True)
+    ),
+    *((f"{fn.__name__}(nba, 5)", lambda fn=fn: fn(Protocol.NBA, 5)) for fn in _BY_COUNT),
+    ("run_mxn at N=2", lambda: run_mxn(mxn_secrets("01", [1]), make_rng(0))),
+    ("mxn_decode at N=2", lambda: mxn_decode(0, (0, 0), _mxn_transcript(2))),
+    ("channel_column at N=2", lambda: channel_column(_mxn_transcript(2))),
+    ("eve_posterior at N=2", lambda: eve_posterior(_mxn_transcript(2))),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in _REFUSED], ids=[w for w, _ in _REFUSED])
+def test_entry_points_refuse_bad_party_counts_with_value_error(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("n", MXN_PARTIES)
+def test_entry_points_accept_every_mxn_party_count(n):
+    assert total_secret_bits(Protocol.MXN, n) == n + 1
+    assert len(all_secret_assignments(Protocol.MXN, n)) == 2 ** (n + 1)
+    assert leakage_report(Protocol.MXN, n).parties == n
+    record = run_mxn(mxn_secrets("01", [1] * (n - 1)), make_rng(n))
+    assert mxn_decode(0, (0, 1), record.transcript) == record.decoded[0]
+    assert record.secrets in channel_column(record.transcript)
+    assert record.secrets in eve_posterior(record.transcript).support
+
+
+def test_list_fields_are_stored_as_tuples():
+    secrets = SecretAssignment(Protocol.NBA, [0, 0], [[0, 1]])
+    assert (secrets.alice, secrets.others) == ((0, 0), ((0, 1),))
+    assert hash(secrets) == hash(SecretAssignment(Protocol.NBA, (0, 0), ((0, 1),)))
+    announced = (BellLabel.PHI_PLUS,) * 3
+    transcript = Transcript(Protocol.MXN, list(announced))
+    assert transcript.announced == announced
+    assert hash(transcript) == hash(Transcript(Protocol.MXN, announced))
+    assert eve_posterior(transcript) == eve_posterior(Transcript(Protocol.MXN, announced))
