@@ -48,15 +48,19 @@ bits differ.  The engine versions of both are what tests hold them to.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
-depends on that label alone.  It is the engine's branch-by-branch
-:func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`),
-taken once per label and cached (:func:`_label_row`): a run samples from
-that one table, and the column reads one tuple from it.  Labels themselves
-need no state vector.  The coding alphabet acts on them linearly over
-GF(2), so an assignment's label (:func:`mxn_label`) and an announced
-tuple's label (:func:`deduce_ghz_from_bells`) are each a few XORs.  The
-engine versions, :func:`ghz_after_ops` and :func:`paired_bell_probability`
-on :func:`mxn_encoded_state`, are what tests hold them to.
+depends on that label alone: the 2^N tuples that name the label, each
+equally likely.  The column reads one tuple's probability from the engine's
+branch-by-branch :func:`~qdleak.qstate.project_bell` walk
+(:func:`paired_bell_distribution`), taken once per label and cached
+(:func:`_label_row`).  A run needs no table: it samples that law pair by
+pair with GF(2) arithmetic on the label's bits, the draws the engine's
+collapse would make.  Labels themselves need no state vector.  The coding
+alphabet acts on them linearly over GF(2), so an assignment's label
+(:func:`mxn_label`) and an announced tuple's label
+(:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
+:func:`ghz_after_ops` and :func:`paired_bell_probability` on
+:func:`mxn_encoded_state`, and a run that samples the cached table, are
+what tests hold them to.
 
 All run functions are deterministic given their arguments, plus the rng for
 MXN, which consumes exactly one uniform draw per pair, in pair order.
@@ -156,11 +160,15 @@ def party_count(
     counts = _SECRET_SHAPE[protocol][2]
     if parties is None and len(counts) == 1:
         return counts[0]
-    is_int = type(parties) is int or isinstance(parties, np.integer)  # no bools
-    if not is_int or parties not in counts:
+    if not _is_int(parties) or parties not in counts:
         span = f"{counts[0]}..{counts[-1]}" if len(counts) > 1 else counts[0]
         raise error(f"{protocol.text} takes {span} parties, got {parties!r}")
     return int(parties)
+
+
+def _is_int(value) -> bool:
+    """True for a Python or numpy int; bools and floats are refused."""
+    return type(value) is int or isinstance(value, np.integer)
 
 
 def _check_mxn_parties(parties: int | None, what: str = "audits") -> int:
@@ -535,9 +543,14 @@ def mxn_label(secrets: SecretAssignment) -> GhzLabel:
     y_i = b_i ^ a1."""
     if secrets.protocol is not Protocol.MXN:
         raise ValueError("needs MXN secrets")
+    return GhzLabel(*_label_bits(secrets))
+
+
+def _label_bits(secrets: SecretAssignment) -> tuple[int, Bits]:
+    """:func:`mxn_label`'s (x, y), without building the label."""
     a1, a2 = secrets.alice
     others = [bits[0] for bits in secrets.others]
-    return GhzLabel((a1 + a2 + sum(others)) % 2, tuple(b ^ a1 for b in others))
+    return (a1 + a2 + sum(others)) % 2, tuple(b ^ a1 for b in others)
 
 
 @functools.lru_cache(maxsize=None)
@@ -574,7 +587,9 @@ def _label_row(label: GhzLabel) -> dict[tuple, float]:
     """The joint law of the N pair outcomes for every assignment encoding
     ``label``: the engine walk on the all-zero multiplet tensor the
     labelled one, which equals each such :func:`mxn_encoded_state` up to
-    a sign.  Shared, so callers only read it."""
+    a sign.  Only the channel column reads it (runs sample the same law by
+    GF(2) arithmetic in :func:`run_mxn`).  Shared, so callers only read
+    it."""
     home = ghz_state(GhzLabel(0, (0,) * (label.num_qubits - 1)))
     return paired_bell_distribution(tensor(home, ghz_state(label)))
 
@@ -583,38 +598,31 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     """Execute one MXN dialogue: encode, measure pairs (i, N+i) in pair
     order, announce the labels, decode per party.
 
-    The measurement samples from the joint outcome law of the secrets' GHZ
-    label (:func:`_label_row`): pair by pair, one ``rng.random()`` per pair
-    against the conditional law of that pair's label given the labels so
-    far, in BellLabel order, skipping labels of conditional probability at
-    most ``ATOL / 4`` and falling back to the last label kept.  That is the
-    draw :func:`~qdleak.qstate.project_bell` collapse by collapse would
-    make, so a seed gives the same transcript either way.  The announced
-    tuple is then turned into its GHZ label once, and every party decodes
-    from it."""
+    The measurement samples the exact law of the secrets' GHZ label (x, y),
+    pair by pair in BellLabel order, with one uniform draw u per pair.
+    The 2^N tuples naming the label (:func:`deduce_ghz_from_bells`: psi_i
+    is psi_0 ^ y_i, and the minus bits XOR to x) are equally likely.  So
+    pair 0 takes label ``int(4 * u)``, pair i of 1..N-2 has psi
+    psi_0 ^ y_i and minus ``u >= 0.5``, and the last pair's minus is x
+    XOR the earlier ones, its draw taken all the same.  Those are the
+    conditional law's cumulative thresholds, 1/4, 1/2, 3/4 and 1, then
+    1/2 and 1, then 1, so a seed gives the transcript that
+    :func:`~qdleak.qstate.project_bell` would give collapse by collapse.
+    The parties then deduce the label from the announced tuple once and
+    decode from it."""
     n = _check_mxn_parties(secrets.num_parties, "runs")
-    branches = _label_row(mxn_label(secrets)).items()
-    for pair in range(n):
-        marginal = dict.fromkeys(BellLabel, 0.0)
-        for outcomes, prob in branches:
-            marginal[outcomes[pair]] += prob
-        total = sum(marginal.values())
-        u = rng.random()
-        acc = 0.0
-        for bell, prob in marginal.items():
-            prob /= total
-            if prob <= ATOL / 4:
-                continue
-            chosen = bell
-            acc += prob
-            if u < acc:
-                break
-        branches = [(outcomes, p) for outcomes, p in branches if outcomes[pair] is chosen]
-    transcript = Transcript(Protocol.MXN, branches[0][0])
+    x, y = _label_bits(secrets)
+    draws = rng.random(n).tolist()  # the same n numbers as n rng.random() calls
+    psi0, minus = divmod(int(4 * draws[0]), 2)
+    announced = [_BELL_FOR_BITS[psi0, minus]]
+    for y_i, u in zip(y[:-1], draws[1:-1]):
+        minus_i = int(u >= 0.5)
+        minus ^= minus_i
+        announced.append(_BELL_FOR_BITS[psi0 ^ y_i, minus_i])
+    announced.append(_BELL_FOR_BITS[psi0 ^ y[-1], x ^ minus])
+    transcript = Transcript(Protocol.MXN, announced)
     (label,) = deduce_ghz_from_bells(transcript.announced)
-    decoded = tuple(
-        _decode_from_label(label, party, secrets.party_bits(party)) for party in range(n)
-    )
+    decoded = _decode_from_label(label, enumerate(secrets.full_bits))
     return RunRecord(secrets, transcript, decoded)
 
 
@@ -711,27 +719,29 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     if transcript.protocol is not Protocol.MXN:
         raise TranscriptError("mxn_decode needs an MXN transcript")
     n = _check_mxn_parties(len(transcript.announced), "decodings")
-    if not 0 <= party < n:
-        raise ValueError(f"party {party} out of range for {n} parties")
+    if not _is_int(party) or not 0 <= party < n:
+        raise ValueError(f"party {party!r} out of range for {n} parties")
     own = as_bits(own, 2 if party == 0 else 1)
     (label,) = deduce_ghz_from_bells(transcript.announced)
-    return _decode_from_label(label, party, own)
+    return _decode_from_label(label, [(party, own)])[0]
 
 
-def _decode_from_label(label: GhzLabel, party: int, own: Bits) -> dict[int, Bits]:
-    """Every other party's bits, read from the one assignment encoding
-    ``label`` whose ``party`` bits are ``own``."""
-    matches = [
-        secrets
-        for secrets in _assignments_for_label(label)
-        if secrets.party_bits(party) == tuple(own)
-    ]
-    if len(matches) != 1:
-        raise TranscriptError(
-            f"{len(matches)} assignments consistent with own bits {bits_to_str(own)}"
-        )
-    full = matches[0].full_bits
-    return {j: full[j] for j in range(len(full)) if j != party}
+def _decode_from_label(
+    label: GhzLabel, owns: Iterable[tuple[int, Bits]]
+) -> tuple[dict[int, Bits], ...]:
+    """For each (party, own bits), every other party's bits, read from the
+    one assignment encoding ``label`` whose ``party`` bits are ``own``.
+    The label's two assignments are looked up once for all parties."""
+    candidates = [secrets.full_bits for secrets in _assignments_for_label(label)]
+    decoded = []
+    for party, own in owns:
+        matches = [full for full in candidates if full[party] == own]
+        if len(matches) != 1:
+            raise TranscriptError(
+                f"{len(matches)} assignments consistent with own bits {bits_to_str(own)}"
+            )
+        decoded.append({j: bits for j, bits in enumerate(matches[0]) if j != party})
+    return tuple(decoded)
 
 
 # --- transcript channels ------------------------------------------------

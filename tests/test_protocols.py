@@ -1,5 +1,6 @@
 """Protocol tests: coding alphabets, transcripts, decoding, swapping."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 from qdleak.leakage import eve_posterior, leakage_report
 from qdleak.protocols import (
     BIT_PAIRS,
+    MXN_PARTIES,
     Protocol,
+    RunRecord,
     SecretAssignment,
     Transcript,
     TranscriptError,
@@ -579,10 +582,10 @@ def engine_replay_announced(secrets, rng):
 
 @pytest.mark.parametrize("parties, seeds", [(3, 5), (4, 5), (5, 2), (6, 2)])
 def test_run_mxn_replays_the_engine_collapse(parties, seeds):
-    """run_mxn samples from its GHZ label's row of the channel, the engine
-    walk of that label cached once; it must announce what the
-    engine's branch-by-branch collapse announces for the same seed, use the
-    same draws, and decode the true bits for every party."""
+    """run_mxn samples its GHZ label's law by GF(2) arithmetic; it must
+    announce what the engine's branch-by-branch collapse announces for the
+    same seed, use the same draws, and decode the true bits for every
+    party."""
     for secrets in all_secret_assignments(Protocol.MXN, parties):
         for seed in range(seeds):
             rng, reference_rng = make_rng(seed), make_rng(seed)
@@ -595,6 +598,126 @@ def test_run_mxn_replays_the_engine_collapse(parties, seeds):
                 assert record.decoded[party] == {
                     j: secrets.party_bits(j) for j in range(parties) if j != party
                 }
+
+
+def table_thresholds(branches, pair):
+    """The table sampler's cumulative thresholds for ``pair``, given the
+    branches kept so far: the pair's conditional law in BellLabel order,
+    normalized, skipping labels of probability at most ATOL / 4."""
+    marginal = dict.fromkeys(BellLabel, 0.0)
+    for outcomes, prob in branches:
+        marginal[outcomes[pair]] += prob
+    total = sum(marginal.values())
+    thresholds = []
+    acc = 0.0
+    for bell, prob in marginal.items():
+        prob /= total
+        if prob <= ATOL / 4:
+            continue
+        acc += prob
+        thresholds.append((bell, acc))
+    return thresholds
+
+
+def table_sampled_run(secrets, rng):
+    """Reference run: sample from the label's engine walk (_label_row)
+    pair by pair, one rng.random() per pair against the table sampler's
+    thresholds, falling back to the last label kept; then every party
+    decodes with mxn_decode."""
+    n = secrets.num_parties
+    branches = list(_label_row(mxn_label(secrets)).items())
+    for pair in range(n):
+        thresholds = table_thresholds(branches, pair)
+        u = rng.random()
+        chosen = next((bell for bell, acc in thresholds if u < acc), thresholds[-1][0])
+        branches = [(outcomes, p) for outcomes, p in branches if outcomes[pair] is chosen]
+    transcript = Transcript(Protocol.MXN, branches[0][0])
+    decoded = tuple(
+        mxn_decode(party, secrets.party_bits(party), transcript) for party in range(n)
+    )
+    return RunRecord(secrets, transcript, decoded)
+
+
+BELL_FOR_BITS = {
+    (0, 0): BellLabel.PHI_PLUS,
+    (0, 1): BellLabel.PHI_MINUS,
+    (1, 0): BellLabel.PSI_PLUS,
+    (1, 1): BellLabel.PSI_MINUS,
+}
+BITS_FOR_BELL = {bell: bits for bits, bell in BELL_FOR_BITS.items()}
+
+
+def gf2_thresholds(label, prefix):
+    """The law run_mxn samples for the pair after ``prefix``, as cumulative
+    thresholds: pair 0 any label at 1/4; a middle pair psi_0 ^ y_i with
+    either minus bit at 1/2; the last pair the one label whose minus bit
+    makes all minus bits XOR to x."""
+    n, pair = label.num_qubits, len(prefix)
+    if pair == 0:
+        return [(BELL_FOR_BITS[bits], (i + 1) / 4) for i, bits in enumerate(BIT_PAIRS)]
+    psi = BITS_FOR_BELL[prefix[0]][0] ^ label.y[pair - 1]
+    if pair < n - 1:
+        return [(BELL_FOR_BITS[psi, 0], 0.5), (BELL_FOR_BITS[psi, 1], 1.0)]
+    minus = label.x
+    for bell in prefix:
+        minus ^= BITS_FOR_BELL[bell][1]
+    return [(BELL_FOR_BITS[psi, minus], 1.0)]
+
+
+@pytest.mark.parametrize("parties", MXN_PARTIES)
+def test_table_thresholds_are_the_gf2_law(parties):
+    """For every label and every reachable prefix, the table sampler's
+    thresholds are exactly the GF(2) law's, so its fallback never fires
+    and both samplers make the same draw."""
+    for label in all_ghz_labels(parties):
+        pending = [((), list(_label_row(label).items()))]
+        while pending:
+            prefix, branches = pending.pop()
+            if len(prefix) == parties:
+                continue
+            thresholds = table_thresholds(branches, len(prefix))
+            assert thresholds == gf2_thresholds(label, prefix)
+            for bell, _ in thresholds:
+                kept = [(o, p) for o, p in branches if o[len(prefix)] is bell]
+                pending.append(((*prefix, bell), kept))
+
+
+@pytest.mark.parametrize("parties", MXN_PARTIES)
+def test_run_mxn_is_the_table_sampler(parties):
+    """Every assignment x seeds 0..49: the same RunRecord as the table
+    sampler, and the generator left at the same state."""
+    for secrets in all_secret_assignments(Protocol.MXN, parties):
+        for seed in range(50):
+            rng, reference_rng = make_rng(seed), make_rng(seed)
+            assert run_mxn(secrets, rng) == table_sampled_run(secrets, reference_rng)
+            assert rng.random() == reference_rng.random()
+
+
+def _gate_line(secrets, seed):
+    record = run_mxn(secrets, make_rng(seed))
+    announced = " ".join(label.text for label in record.transcript.announced)
+    decoded = ";".join(
+        ",".join(f"{j}:{bits_to_str(bits)}" for j, bits in sorted(d.items()))
+        for d in record.decoded
+    )
+    others = bits_to_str(bits[0] for bits in secrets.others)
+    return f"{bits_to_str(secrets.alice)} {others} {seed} | {announced} | {decoded}\n"
+
+
+# sha256 of the 4,800 runs' transcripts and decoded bits, one _gate_line per
+# run, in MXN_PARTIES x all_secret_assignments x seed order.
+RUN_GATE_SHA256 = "7cd55593e0f045c89ed857f85b1d7f2ff8ed46a8c6f01e43ae1924c0bef4bbed"
+
+
+def test_run_mxn_gate_bytes():
+    """Every assignment x seeds 0..19 at N=3..6 announces and decodes what
+    it always has: a seed's transcript is part of the determinism contract."""
+    digest = hashlib.sha256()
+    for parties in MXN_PARTIES:
+        for secrets in all_secret_assignments(Protocol.MXN, parties):
+            for seed in range(20):
+                digest.update(_gate_line(secrets, seed).encode())
+    assert digest.hexdigest() == RUN_GATE_SHA256
 
 
 def test_run_mxn_transcripts_follow_the_exact_distribution():
@@ -628,11 +751,20 @@ def test_mxn_decode_rejects_impossible_own_bits():
 
 @pytest.mark.parametrize(
     "party, own",
-    [(0, (True, 0)), (0, (0, 2)), (1, (0, 1)), (0, (0,))],
+    [
+        (0, (True, 0)),
+        (0, (0, 2)),
+        (1, (0, 1)),
+        (0, (0,)),
+        (True, (0,)),
+        (1.0, (0,)),
+        (np.bool_(True), (0,)),
+    ],
 )
 def test_mxn_decode_rejects_malformed_own_bits(party, own):
-    """Own bits of the wrong width, or not bits (bools included), are a
-    malformed argument, not a corrupted transcript."""
+    """Own bits of the wrong width, or not bits (bools included), and a
+    party index that is not an int (a bool or a float) are a malformed
+    argument, not a corrupted transcript."""
     record = run_mxn(mxn_secrets("00", [0, 1]), make_rng(7))
     with pytest.raises(ValueError) as exc:
         mxn_decode(party, own, record.transcript)
@@ -655,8 +787,8 @@ def test_mxn_row_is_the_engine_walk_of_the_encoded_state(parties, sample):
 
 
 def test_label_rows_stay_unmutated():
-    """The cached label tables are shared: audits, columns and runs read
-    them and leave them as the engine walk made them."""
+    """The cached label tables are shared: audits and columns read them,
+    and they stay as the engine walk made them, runs included."""
     secrets = mxn_secrets("01", [1, 0, 1])
     label = mxn_label(secrets)
     row = mxn_row(secrets)
