@@ -26,6 +26,7 @@ same treatment, so its structure can be compared with JZ's.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -43,8 +44,6 @@ from .protocols import (
     total_secret_bits,
 )
 from .qstate import ATOL, KET_LABELS
-
-PROB_FLOOR = 1e-9
 
 
 def shannon_entropy(probabilities: Iterable[float]) -> float:
@@ -71,7 +70,12 @@ class Posterior:
     def from_weights(
         cls, weighted: Iterable[tuple[SecretAssignment, float]]
     ) -> "Posterior":
-        items = [(s, w) for s, w in weighted if w > PROB_FLOOR]
+        """Normalize weights into a posterior: an exact 0 drops its
+        hypothesis, a negative or non-finite weight is refused."""
+        items = [(s, w) for s, w in weighted if w]
+        for _, w in items:
+            if not 0.0 < w < math.inf:
+                raise TranscriptError(f"weight {w!r} is not a finite probability")
         if not items:
             raise TranscriptError("no hypothesis is consistent with the transcript")
         total = sum(w for _, w in items)

@@ -49,18 +49,19 @@ bits differ.  The engine versions of both are what tests hold them to.
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
 depends on that label alone: the 2^N tuples that name the label, each
-equally likely.  The column reads one tuple's probability from the engine's
-branch-by-branch :func:`~qdleak.qstate.project_bell` walk
-(:func:`paired_bell_distribution`), taken once per label and cached
-(:func:`_label_row`).  A run needs no table: it samples that law pair by
-pair with GF(2) arithmetic on the label's bits, the draws the engine's
-collapse would make.  Labels themselves need no state vector.  The coding
-alphabet acts on them linearly over GF(2), so an assignment's label
-(:func:`mxn_label`) and an announced tuple's label
+equally likely.  So an mxn column is the two assignments of the label the
+tuple names, each at one engine number per party count
+(:func:`_tuple_probability`): the branch-by-branch
+:func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`)
+of the all-zero doubled multiplet, read at one tuple.  A run needs no
+table: it samples that law pair by pair with GF(2) arithmetic on the
+label's bits, the draws the engine's collapse would make.  Labels need no
+state vector either.  The coding alphabet acts on them linearly over GF(2),
+so an assignment's label (:func:`mxn_label`) and an announced tuple's label
 (:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
-:func:`ghz_after_ops` and :func:`paired_bell_probability` on
-:func:`mxn_encoded_state`, and a run that samples the cached table, are
-what tests hold them to.
+:func:`ghz_after_ops`, :func:`paired_bell_probability` on
+:func:`mxn_encoded_state` and every label's own walk, are what tests hold
+them to.
 
 All run functions are deterministic given their arguments, plus the rng for
 MXN, which consumes exactly one uniform draw per pair, in pair order.
@@ -210,9 +211,6 @@ class SecretAssignment:
     @property
     def full_bits(self) -> tuple[Bits, ...]:
         return (self.alice, *self.others)
-
-    def party_bits(self, party: int) -> Bits:
-        return self.full_bits[party]
 
 
 # The symbols one announced position may hold, in the order of their
@@ -582,18 +580,6 @@ def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
     return state
 
 
-@functools.lru_cache(maxsize=None)
-def _label_row(label: GhzLabel) -> dict[tuple, float]:
-    """The joint law of the N pair outcomes for every assignment encoding
-    ``label``: the engine walk on the all-zero multiplet tensor the
-    labelled one, which equals each such :func:`mxn_encoded_state` up to
-    a sign.  Only the channel column reads it (runs sample the same law by
-    GF(2) arithmetic in :func:`run_mxn`).  Shared, so callers only read
-    it."""
-    home = ghz_state(GhzLabel(0, (0,) * (label.num_qubits - 1)))
-    return paired_bell_distribution(tensor(home, ghz_state(label)))
-
-
 def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     """Execute one MXN dialogue: encode, measure pairs (i, N+i) in pair
     order, announce the labels, decode per party.
@@ -699,14 +685,22 @@ def paired_bell_distribution(
     return dist
 
 
+@functools.lru_cache(maxsize=None)
+def _tuple_probability(parties: int) -> float:
+    """P(announced | secrets) for every tuple naming the secrets' label, the
+    same for every label: the engine walk of the all-zero doubled multiplet
+    at the all-phi+ tuple, which names the all-zero label."""
+    home = ghz_state(GhzLabel(0, (0,) * (parties - 1)))
+    return paired_bell_distribution(tensor(home, home))[(BellLabel.PHI_PLUS,) * parties]
+
+
 def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
     """The assignments that can produce the announced tuple: the two
-    encoding the one GHZ label the tuple names, each at that label's
-    probability for the tuple."""
-    _check_mxn_parties(len(announced))
+    encoding the one GHZ label the tuple names, each at the party count's
+    :func:`_tuple_probability`."""
+    n = _check_mxn_parties(len(announced))
     (label,) = deduce_ghz_from_bells(announced)
-    prob = _label_row(label)[announced]
-    return {secrets: prob for secrets in _assignments_for_label(label)}
+    return dict.fromkeys(_assignments_for_label(label), _tuple_probability(n))
 
 
 def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]:

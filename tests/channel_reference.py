@@ -7,9 +7,19 @@ audit built from all 2^(N+1) rows at once: a likelihood table keyed by
 announced tuple, sorted by the symbols' texts.  Tests hold
 ``qdleak.protocols.channel_column`` and ``qdleak.leakage.leakage_report``,
 which read one column per announced tuple, to these.
+
+An mxn row is the engine walk of its GHZ label (``_label_row``).
+``exact_mxn_law`` is a second, independent reference for it: the same law
+as exact fractions, from an integer contraction with no floating point.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+from fractions import Fraction
+
+import numpy as np
 
 from qdleak.leakage import LeakageReport, Posterior, TranscriptLeakage
 from qdleak.protocols import (
@@ -17,14 +27,14 @@ from qdleak.protocols import (
     SecretAssignment,
     Transcript,
     _check_mxn_parties,
-    _label_row,
     all_secret_assignments,
     jz_outcome_label,
     mxn_label,
     nba_final_label,
+    paired_bell_distribution,
     total_secret_bits,
 )
-from qdleak.qstate import KET_LABELS, BellLabel
+from qdleak.qstate import KET_LABELS, BellLabel, GhzLabel, ghz_state, tensor
 
 
 def nba_row(secrets: SecretAssignment) -> dict[tuple, float]:
@@ -45,10 +55,56 @@ def otp_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return {(str(alice ^ key), str(bob ^ key)): 0.5 for key in (0, 1)}
 
 
+@functools.lru_cache(maxsize=None)
+def _label_row(label: GhzLabel) -> dict[tuple, float]:
+    """The joint law of the N pair outcomes for every assignment encoding
+    ``label``: the engine walk on the all-zero multiplet tensor the
+    labelled one, which equals each such assignment's encoded state up to a
+    sign.  Shared, so callers only read it."""
+    home = ghz_state(GhzLabel(0, (0,) * (label.num_qubits - 1)))
+    return paired_bell_distribution(tensor(home, ghz_state(label)))
+
+
 def mxn_row(secrets: SecretAssignment) -> dict[tuple, float]:
     """P(announced | secrets): a copy of the cached engine walk of the
     secrets' GHZ label."""
     return dict(_label_row(mxn_label(secrets)))
+
+
+# sqrt2 * <B| for each Bell label in BellLabel order, over the pair's basis
+# index 2a + b (qubit i is a, qubit N+i is b): phi+/- = |00> +/- |11>,
+# psi+/- = |01> +/- |10>.
+_SQRT2_BELL_ROWS = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]], dtype=np.int64
+)
+
+
+def _sqrt2_ghz(label: GhzLabel) -> np.ndarray:
+    """sqrt2 * the GHZ state |0, y> + (-1)^x |1, ~y>, as integers shaped
+    one axis per qubit."""
+    vec = np.zeros((2,) * label.num_qubits, dtype=np.int64)
+    low = (0, *label.y)
+    vec[low] = 1
+    vec[tuple(1 - b for b in low)] = (-1) ** label.x
+    return vec
+
+
+def exact_mxn_law(label: GhzLabel) -> dict[tuple[BellLabel, ...], Fraction]:
+    """P(tuple | label) for every tuple of N Bell labels, exactly.
+
+    2 * (the doubled state) and sqrt2 * each Bell bra are integer, so the
+    contraction gives an integer k per tuple whose amplitude is
+    k / (2 * sqrt2^N), and the probability is k^2 / 2^(N+2)."""
+    n = label.num_qubits
+    doubled = np.multiply.outer(_sqrt2_ghz(GhzLabel(0, (0,) * (n - 1))), _sqrt2_ghz(label))
+    # one axis per pair (i, N+i), indexed 2a + b
+    pair_order = [axis for i in range(n) for axis in (i, n + i)]
+    k = doubled.transpose(pair_order).reshape((4,) * n)
+    for pair in range(n):
+        k = np.moveaxis(np.tensordot(_SQRT2_BELL_ROWS, k, axes=([1], [pair])), 0, pair)
+    # k's C order is the tuples' lexicographic BellLabel order
+    tuples = itertools.product(BellLabel, repeat=n)
+    return {t: Fraction(v * v, 2 ** (n + 2)) for t, v in zip(tuples, k.ravel().tolist())}
 
 
 _ROWS = {

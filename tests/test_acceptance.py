@@ -201,7 +201,7 @@ def test_criterion_9_decode_correctness(criterion):
                     record = run_mxn(secrets, make_rng(seed))
                     for party in range(parties):
                         expected = {
-                            j: secrets.party_bits(j)
+                            j: secrets.full_bits[j]
                             for j in range(parties)
                             if j != party
                         }

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdleak import protocols
 from qdleak.leakage import (
     LeakageReport,
     Posterior,
@@ -107,6 +108,23 @@ def test_posterior_requires_support():
     secrets = all_secret_assignments(Protocol.JZ)
     with pytest.raises(TranscriptError):
         Posterior.from_weights([(secrets[0], 0.0)])
+
+
+def test_posterior_keeps_every_positive_weight():
+    """Only an exact 0 drops a hypothesis: a tiny weight is kept, not cut
+    by a floor."""
+    a, b = all_secret_assignments(Protocol.JZ)[:2]
+    post = Posterior.from_weights([(a, 1e-12)])
+    assert post.hypotheses == ((a, 1.0),)
+    assert Posterior.from_weights([(a, 1.0), (b, 1e-12)]).support == {a, b}
+    assert Posterior.from_weights([(a, 1.0), (b, 0.0)]).support == {a}
+
+
+@pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf, -math.inf])
+def test_posterior_refuses_negative_and_non_finite_weights(bad):
+    a, b = all_secret_assignments(Protocol.JZ)[:2]
+    with pytest.raises(TranscriptError):
+        Posterior.from_weights([(a, 1.0), (b, bad)])
 
 
 # --- NBA ---------------------------------------------------------------
@@ -406,6 +424,23 @@ def test_two_party_paths_build_no_state_vector(monkeypatch):
     assert built == []
     ket("0")  # the counter sees a construction
     assert built == [1]
+
+
+@pytest.mark.parametrize("parties", MXN_PARTIES)
+def test_cold_mxn_audit_walks_the_engine_at_most_once(monkeypatch, parties):
+    """No label walk: with the per-count cache emptied, an mxn audit runs
+    paired_bell_distribution at most once, for its one tuple probability."""
+    walked = []
+    walk = protocols.paired_bell_distribution
+
+    def counting(state):
+        walked.append(state.num_qubits)
+        return walk(state)
+
+    monkeypatch.setattr(protocols, "paired_bell_distribution", counting)
+    protocols._tuple_probability.cache_clear()
+    leakage_report(Protocol.MXN, parties)
+    assert len(walked) <= 1
 
 
 def test_leakage_report_argument_errors():

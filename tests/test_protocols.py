@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from qdleak.protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
-    _label_row,
     all_secret_assignments,
     as_bits,
     basis_labels_of,
@@ -64,7 +64,7 @@ from qdleak.qstate import (
     tensor,
 )
 
-from channel_reference import channel_row, mxn_row
+from channel_reference import _label_row, channel_row, exact_mxn_law, mxn_row
 
 
 def oracle_joint_bell_prob(state, labels):
@@ -456,7 +456,7 @@ def test_encoding_map_is_two_to_one(parties):
         assert [x ^ y for x, y in zip(first, second)] == partner_xor
         # own-bits filter stays decisive for every party
         for party in range(parties):
-            assert group[0].party_bits(party) != group[1].party_bits(party)
+            assert group[0].full_bits[party] != group[1].full_bits[party]
 
 
 @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
@@ -553,7 +553,7 @@ def test_run_mxn_decodes_correctly_across_seeds():
             record = run_mxn(secrets, make_rng(seed))
             for party in range(3):
                 expected = {
-                    j: secrets.party_bits(j) for j in range(3) if j != party
+                    j: secrets.full_bits[j] for j in range(3) if j != party
                 }
                 assert record.decoded[party] == expected
 
@@ -596,7 +596,7 @@ def test_run_mxn_replays_the_engine_collapse(parties, seeds):
             assert rng.random() == reference_rng.random()
             for party in range(parties):
                 assert record.decoded[party] == {
-                    j: secrets.party_bits(j) for j in range(parties) if j != party
+                    j: secrets.full_bits[j] for j in range(parties) if j != party
                 }
 
 
@@ -633,7 +633,7 @@ def table_sampled_run(secrets, rng):
         branches = [(outcomes, p) for outcomes, p in branches if outcomes[pair] is chosen]
     transcript = Transcript(Protocol.MXN, branches[0][0])
     decoded = tuple(
-        mxn_decode(party, secrets.party_bits(party), transcript) for party in range(n)
+        mxn_decode(party, secrets.full_bits[party], transcript) for party in range(n)
     )
     return RunRecord(secrets, transcript, decoded)
 
@@ -786,9 +786,33 @@ def test_mxn_row_is_the_engine_walk_of_the_encoded_state(parties, sample):
         assert list(row) == list(want)
 
 
+@pytest.mark.parametrize("parties", MXN_PARTIES)
+def test_mxn_law_is_exactly_uniform_on_the_named_tuples(parties):
+    """The integer contraction gives each label exactly 2^-N on the tuples
+    that name it and 0 elsewhere; the column weight and every value of the
+    label's engine walk lie within 1e-12 of it."""
+    exact = Fraction(1, 2**parties)
+    named_by_label = {}
+    for announced in itertools.product(BellLabel, repeat=parties):
+        (label,) = deduce_ghz_from_bells(announced)
+        named_by_label.setdefault(label, set()).add(announced)
+    assert named_by_label.keys() == set(all_ghz_labels(parties))
+    for label, named in named_by_label.items():
+        law = exact_mxn_law(label)
+        assert len(law) == 4**parties and len(named) == 2**parties
+        assert {t for t, p in law.items() if p} == named
+        assert all(law[t] == exact for t in named)
+        walk = _label_row(label)
+        assert walk.keys() == named
+        assert all(abs(p - exact) <= 1e-12 for p in walk.values())
+        announced = next(iter(named))
+        assert all(abs(w - exact) <= 1e-12 for w in mxn_column(announced).values())
+
+
 def test_label_rows_stay_unmutated():
-    """The cached label tables are shared: audits and columns read them,
-    and they stay as the engine walk made them, runs included."""
+    """The reference's cached label tables are shared: rows hand out
+    copies, and they stay as the engine walk made them through audits,
+    columns and runs."""
     secrets = mxn_secrets("01", [1, 0, 1])
     label = mxn_label(secrets)
     row = mxn_row(secrets)
