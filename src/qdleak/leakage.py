@@ -43,7 +43,7 @@ from .protocols import (
     party_count,
     total_secret_bits,
 )
-from .qstate import ATOL, KET_LABELS
+from .qstate import ATOL, KET_LABELS, is_bit
 
 
 def shannon_entropy(probabilities: Iterable[float]) -> float:
@@ -121,7 +121,7 @@ def nba_xor_constraint(transcript: Transcript) -> tuple[int, int]:
 def otp_reuse_posterior(cipher_a: int, cipher_b: int) -> Posterior:
     """Posterior over the two plaintext bits after both ciphertexts of a
     reused one-bit key are observed."""
-    if cipher_a not in (0, 1) or cipher_b not in (0, 1):
+    if not (is_bit(cipher_a) and is_bit(cipher_b)):
         raise ValueError("ciphertext bits must be 0 or 1")
     transcript = Transcript(Protocol.OTP, (str(cipher_a), str(cipher_b)))
     return eve_posterior(transcript)

@@ -6,11 +6,16 @@ Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
 Each protocol also has its transcript channel here, P(announced | secrets),
 read one column at a time: :func:`channel_column` gives every assignment
-that can produce one announced tuple, with its probability.  An audit reads
-one column per tuple of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`,
-whose symbols are listed in audit order (the order of their texts); a
-single posterior reads one column.  What an outside observer can infer from
-the announcements is the business of :mod:`qdleak.leakage`.
+that can produce one announced tuple, with its probability.  A protocol is
+two syndrome functions: the bits every transcript of an assignment
+publishes (:func:`_public_syndrome`: alice ^ bob for nba, jz and otp, the
+GHZ label for mxn), and the syndrome an announced tuple names, at one
+probability (:func:`_named_syndrome`).  A column is that syndrome's coset,
+one entry of one table (:func:`_cosets`).  An audit reads one column per
+tuple of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols
+are listed in audit order (the order of their texts); a single posterior
+reads one column.  What an outside observer can infer from the
+announcements is the business of :mod:`qdleak.leakage`.
 
 Every layer takes the party counts decided here once: :func:`party_count`
 accepts None or 2 for nba, jz and otp and 2..6 for mxn assignments,
@@ -55,9 +60,10 @@ tuple names, each at one engine number per party count
 :func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`)
 of the all-zero doubled multiplet, read at one tuple.  A run needs no
 table: it samples that law pair by pair with GF(2) arithmetic on the
-label's bits, the draws the engine's collapse would make.  Labels need no
-state vector either.  The coding alphabet acts on them linearly over GF(2),
-so an assignment's label (:func:`mxn_label`) and an announced tuple's label
+label's bits, the draws the engine's collapse would make, and the parties
+decode from the same coset the column reads.  Labels need no state vector
+either.  The coding alphabet acts on them linearly over GF(2), so an
+assignment's label (:func:`mxn_label`) and an announced tuple's label
 (:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
 :func:`ghz_after_ops`, :func:`paired_bell_probability` on
 :func:`mxn_encoded_state` and every label's own walk, are what tests hold
@@ -237,9 +243,7 @@ def otp_secrets(alice: int, bob: int) -> SecretAssignment:
 
 
 def mxn_secrets(alice: BitsLike, others: Sequence[BitsLike | int]) -> SecretAssignment:
-    packed = tuple(
-        as_bits([o], 1) if isinstance(o, int) else as_bits(o, 1) for o in others
-    )
+    packed = tuple(as_bits(o if np.iterable(o) else [o], 1) for o in others)
     return SecretAssignment(Protocol.MXN, as_bits(alice, 2), packed)
 
 
@@ -257,13 +261,6 @@ def all_secret_assignments(
             repeat=party_count(protocol, parties) - 1,
         )
     )
-
-
-@functools.lru_cache(maxsize=None)
-def _assignment_by_bits(protocol: Protocol) -> dict[tuple[Bits, ...], SecretAssignment]:
-    """A two-party protocol's assignments keyed by their bits, built once,
-    so its column hands out shared assignments as mxn's label map does."""
-    return {s.full_bits: s for s in all_secret_assignments(protocol)}
 
 
 def total_secret_bits(protocol: Protocol, parties: int | None = None) -> int:
@@ -394,14 +391,6 @@ def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
     return RunRecord(secrets, transcript, decoded)
 
 
-def nba_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments that can produce the announced (initial, final)
-    pair, each at the initial label's 0.25: the four whose bits XOR to
-    what the label difference publishes."""
-    by_bits = _assignment_by_bits(Protocol.NBA)
-    return {by_bits[pair]: 0.25 for pair in nba_consistent_pairs(*announced)}
-
-
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
     """Recover the counterpart's two bits from the announced labels plus
     one's own bits: own ^ (alice ^ bob).  The same for both parties."""
@@ -456,19 +445,6 @@ def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
     return RunRecord(secrets, transcript, decoded)
 
 
-def jz_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments that can produce the announced (initial, outcome)
-    pair, each at the initial ket's 0.25: the two whose bits
-    differ exactly when the ket flipped, and none for an outcome outside
-    the preparation basis."""
-    initial, outcome = announced
-    if outcome not in basis_labels_of(initial):
-        return {}
-    flipped = int(initial != outcome)
-    by_bits = _assignment_by_bits(Protocol.JZ)
-    return {by_bits[(a,), (a ^ flipped,)]: 0.25 for a in (0, 1)}
-
-
 def jz_decode(own: int, initial: str, outcome: str) -> int:
     """Counterpart's bit: whether the ket flipped, minus one's own flip."""
     _check_bit(own)
@@ -478,17 +454,6 @@ def jz_decode(own: int, initial: str, outcome: str) -> int:
         )
     flipped = int(initial != outcome)
     return flipped ^ own
-
-
-# --- OTP ----------------------------------------------------------------
-
-
-def otp_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The plaintext pairs the announced ciphertexts decrypt to, one per
-    key bit, each at 0.5."""
-    cipher_a, cipher_b = map(int, announced)
-    by_bits = _assignment_by_bits(Protocol.OTP)
-    return {by_bits[(cipher_a ^ key,), (cipher_b ^ key,)]: 0.5 for key in (0, 1)}
 
 
 # --- MXN ----------------------------------------------------------------
@@ -551,23 +516,6 @@ def _label_bits(secrets: SecretAssignment) -> tuple[int, Bits]:
     return (a1 + a2 + sum(others)) % 2, tuple(b ^ a1 for b in others)
 
 
-@functools.lru_cache(maxsize=None)
-def _assignments_by_label(parties: int) -> dict[GhzLabel, tuple[SecretAssignment, ...]]:
-    """label -> the assignments encoding it, in lexicographic order.
-
-    Always exactly two.  They differ in every bit except, for an even party
-    count, party 0's second one, so each party's own bits separate them,
-    which is what decoding relies on."""
-    table: dict[GhzLabel, list] = {}
-    for secrets in all_secret_assignments(Protocol.MXN, parties):
-        table.setdefault(mxn_label(secrets), []).append(secrets)
-    return {label: tuple(group) for label, group in table.items()}
-
-
-def _assignments_for_label(label: GhzLabel) -> tuple[SecretAssignment, ...]:
-    return _assignments_by_label(label.num_qubits)[label]
-
-
 def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
     """Both GHZ multiplets after all encodings: qubits 0..N-1 are the
     traveling halves (all-zero label before encoding), N..2N-1 the kept
@@ -594,8 +542,8 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     conditional law's cumulative thresholds, 1/4, 1/2, 3/4 and 1, then
     1/2 and 1, then 1, so a seed gives the transcript that
     :func:`~qdleak.qstate.project_bell` would give collapse by collapse.
-    The parties then deduce the label from the announced tuple once and
-    decode from it."""
+    The parties then read the label from the announced tuple once and
+    decode from its coset."""
     n = _check_mxn_parties(secrets.num_parties, "runs")
     x, y = _label_bits(secrets)
     draws = rng.random(n).tolist()  # the same n numbers as n rng.random() calls
@@ -607,8 +555,7 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
         announced.append(_BELL_FOR_BITS[psi0 ^ y_i, minus_i])
     announced.append(_BELL_FOR_BITS[psi0 ^ y[-1], x ^ minus])
     transcript = Transcript(Protocol.MXN, announced)
-    (label,) = deduce_ghz_from_bells(transcript.announced)
-    decoded = _decode_from_label(label, enumerate(secrets.full_bits))
+    decoded = _coset_decode(transcript, enumerate(secrets.full_bits))
     return RunRecord(secrets, transcript, decoded)
 
 
@@ -640,13 +587,20 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     n = party_count(Protocol.MXN, len(outcomes), TranscriptError)
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
+    return {all_ghz_labels(n)[_label_code(outcomes)]}
+
+
+def _label_code(outcomes: Sequence[BellLabel]) -> int:
+    """:func:`deduce_ghz_from_bells`' label as its index in
+    :func:`~qdleak.qstate.all_ghz_labels`, the bits of x then y, without
+    its input checks: callers pass a validated transcript's tuple."""
     psi0 = _BELL_BITS[outcomes[0]][0]
     x = y = 0
     for label in outcomes:
         psi, minus = _BELL_BITS[label]
         x ^= minus
         y = (y << 1) | (psi ^ psi0)  # pair 0 adds a leading 0 bit
-    return {all_ghz_labels(n)[(x << (n - 1)) | y]}
+    return (x << (len(outcomes) - 1)) | y
 
 
 def paired_bell_probability(
@@ -694,15 +648,6 @@ def _tuple_probability(parties: int) -> float:
     return paired_bell_distribution(tensor(home, home))[(BellLabel.PHI_PLUS,) * parties]
 
 
-def mxn_column(announced: tuple) -> dict[SecretAssignment, float]:
-    """The assignments that can produce the announced tuple: the two
-    encoding the one GHZ label the tuple names, each at the party count's
-    :func:`_tuple_probability`."""
-    n = _check_mxn_parties(len(announced))
-    (label,) = deduce_ghz_from_bells(announced)
-    return dict.fromkeys(_assignments_for_label(label), _tuple_probability(n))
-
-
 def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]:
     """Recover every other party's bits from the announced Bell labels plus
     one's own bits.
@@ -716,17 +661,18 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     if not _is_int(party) or not 0 <= party < n:
         raise ValueError(f"party {party!r} out of range for {n} parties")
     own = as_bits(own, 2 if party == 0 else 1)
-    (label,) = deduce_ghz_from_bells(transcript.announced)
-    return _decode_from_label(label, [(party, own)])[0]
+    return _coset_decode(transcript, [(party, own)])[0]
 
 
-def _decode_from_label(
-    label: GhzLabel, owns: Iterable[tuple[int, Bits]]
+def _coset_decode(
+    transcript: Transcript, owns: Iterable[tuple[int, Bits]]
 ) -> tuple[dict[int, Bits], ...]:
     """For each (party, own bits), every other party's bits, read from the
-    one assignment encoding ``label`` whose ``party`` bits are ``own``.
-    The label's two assignments are looked up once for all parties."""
-    candidates = [secrets.full_bits for secrets in _assignments_for_label(label)]
+    one assignment of the mxn transcript's coset whose ``party`` bits are
+    ``own``."""
+    announced = transcript.announced
+    coset = _cosets(Protocol.MXN, len(announced))[_label_code(announced)]
+    candidates = [secrets.full_bits for secrets in coset]
     decoded = []
     for party, own in owns:
         matches = [full for full in candidates if full[party] == own]
@@ -740,17 +686,57 @@ def _decode_from_label(
 
 # --- transcript channels ------------------------------------------------
 
-# protocol -> column of P(announced | secrets)
-_COLUMNS = {
-    Protocol.NBA: nba_column,
-    Protocol.JZ: jz_column,
-    Protocol.OTP: otp_column,
-    Protocol.MXN: mxn_column,
-}
+
+def _public_syndrome(secrets: SecretAssignment) -> Bits | int:
+    """What every transcript of the assignment publishes: alice ^ bob, or
+    for mxn its GHZ label's index in :func:`~qdleak.qstate.all_ghz_labels`."""
+    if secrets.protocol is Protocol.MXN:
+        x, y = _label_bits(secrets)
+        return functools.reduce(lambda code, bit: code << 1 | bit, y, x)
+    return _xor(secrets.alice, secrets.others[0])
+
+
+def _named_syndrome(transcript: Transcript) -> tuple[Bits | int, float] | None:
+    """The public syndrome a transcript names, with P(announced | secrets)
+    for each assignment publishing it, averaged over the public choice a
+    run draws uniformly (initial Bell label, initial ket, key bit; none for
+    mxn); None for a jz outcome outside the preparation basis."""
+    protocol, announced = transcript.protocol, transcript.announced
+    if protocol is Protocol.NBA:
+        return _nba_public_xor(*announced), 0.25
+    if protocol is Protocol.JZ:
+        initial, outcome = announced
+        if outcome not in basis_labels_of(initial):
+            return None
+        return (int(initial != outcome),), 0.25
+    if protocol is Protocol.OTP:
+        cipher_a, cipher_b = map(int, announced)
+        return (cipher_a ^ cipher_b,), 0.5
+    return _label_code(announced), _tuple_probability(_check_mxn_parties(len(announced)))
+
+
+@functools.lru_cache(maxsize=None)
+def _cosets(
+    protocol: Protocol, parties: int
+) -> dict[Bits | int, tuple[SecretAssignment, ...]]:
+    """public syndrome -> the assignments publishing it, in lexicographic
+    order, built once, so columns and decoding hand out shared assignments.
+    An mxn coset holds two assignments that differ in every bit except, for
+    an even party count, party 0's second one, so each party's own bits
+    separate them, which is what decoding relies on."""
+    table: dict[Bits | int, list[SecretAssignment]] = {}
+    for secrets in all_secret_assignments(protocol, parties):
+        table.setdefault(_public_syndrome(secrets), []).append(secrets)
+    return {syndrome: tuple(coset) for syndrome, coset in table.items()}
 
 
 def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
     """Every assignment that can produce the transcript, with
-    P(announced | secrets) averaged over the public choice a run draws
-    uniformly (initial Bell label, initial ket, key bit; none for mxn)."""
-    return _COLUMNS[transcript.protocol](transcript.announced)
+    P(announced | secrets): the coset of the syndrome the transcript names,
+    each at that syndrome's weight."""
+    named = _named_syndrome(transcript)
+    if named is None:
+        return {}
+    syndrome, weight = named
+    coset = _cosets(transcript.protocol, len(transcript.announced))[syndrome]
+    return dict.fromkeys(coset, weight)

@@ -33,9 +33,10 @@ KET_LABELS = ("0", "1", "+", "-")
 
 
 def is_bit(value) -> bool:
-    """True for the numbers 0 and 1.  Bools are refused: they compare equal
-    to 0 and 1 but render as "True"/"False" in labels and bit strings."""
-    return not isinstance(value, (bool, np.bool_)) and value in (0, 1)
+    """True for the ints 0 and 1, Python or numpy.  Bools and floats are
+    refused: they compare equal to 0 and 1 but render as "True"/"False" or
+    "1.0" in labels and bit strings, and a float does not XOR."""
+    return (type(value) is int or isinstance(value, np.integer)) and value in (0, 1)
 
 
 def make_rng(seed: int) -> np.random.Generator:

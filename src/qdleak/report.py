@@ -35,11 +35,11 @@ def party_name(index: int) -> str:
     return _PARTY_NAMES[index] if index < 3 else f"party{index + 1}"
 
 
+_BELL_TEXTS = {label: label.text for label in BellLabel}
+
+
 def announced_text(transcript: Transcript) -> list[str]:
-    return [
-        label.text if isinstance(label, BellLabel) else str(label)
-        for label in transcript.announced
-    ]
+    return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
 
 
 def _posterior_doc(

@@ -244,7 +244,7 @@ def _posterior_by_cells(transcript):
 
 
 @pytest.mark.parametrize("parties, samples", [(5, 12), (6, 6)])
-def test_mxn_column_matches_the_engine(parties, samples):
+def test_mxn_channel_column_matches_the_engine(parties, samples):
     """On seeded tuples, the column holds every assignment whose encoded
     state gives the tuple nonzero probability, at that probability, and the
     posterior's hypotheses equal the per-assignment one exactly."""
@@ -284,8 +284,9 @@ def test_otp_reuse_posterior_examples():
     assert support_bits(post) == {((0,), (0,)), ((1,), (1,))}
     for ca, cb in itertools.product((0, 1), repeat=2):
         assert otp_reuse_posterior(ca, cb).entropy_bits == pytest.approx(1.0, abs=ATOL)
-    with pytest.raises(ValueError):
-        otp_reuse_posterior(2, 0)
+    for bad in ((2, 0), (True, 0), (0, 1.0)):
+        with pytest.raises(ValueError, match="ciphertext bits must be 0 or 1"):
+            otp_reuse_posterior(*bad)
 
 
 def test_jz_matches_reused_key_otp_everywhere():
@@ -499,6 +500,7 @@ def test_entry_points_accept_every_mxn_party_count(n):
     assert len(all_secret_assignments(Protocol.MXN, n)) == 2 ** (n + 1)
     assert leakage_report(Protocol.MXN, n).parties == n
     record = run_mxn(mxn_secrets("01", [1] * (n - 1)), make_rng(n))
+    assert mxn_secrets("01", [np.int64(1)] * (n - 1)) == record.secrets
     assert mxn_decode(0, (0, 1), record.transcript) == record.decoded[0]
     assert record.secrets in channel_column(record.transcript)
     assert record.secrets in eve_posterior(record.transcript).support

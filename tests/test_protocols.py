@@ -29,7 +29,6 @@ from qdleak.protocols import (
     jz_decode,
     jz_outcome_label,
     jz_secrets,
-    mxn_column,
     mxn_decode,
     mxn_encoded_state,
     mxn_label,
@@ -119,11 +118,15 @@ def test_secret_assignment_shapes():
         lambda: SecretAssignment(Protocol.MXN, (True, 0), ((1,), (0,))),
         lambda: SecretAssignment(Protocol.MXN, (1, 0), ((1,), (False,))),
         lambda: SecretAssignment(Protocol.NBA, (0, 1), ((np.False_, 1),)),
+        lambda: SecretAssignment(Protocol.JZ, (1.0,), ((0,),)),
+        lambda: mxn_secrets("00", [True, 0]),
+        lambda: mxn_secrets("00", [np.True_, 0]),
+        lambda: mxn_secrets("00", [1.0, 0]),
     ],
 )
 def test_bit_fields_reject_bools(build):
-    """A bool equals 0 or 1 but renders as True/False in labels and bit
-    strings, so bit fields refuse it."""
+    """A bool or a float equals 0 or 1 but renders as True/False or 1.0 in
+    labels and bit strings, so bit fields refuse it."""
     with pytest.raises(ValueError):
         build()
 
@@ -806,7 +809,8 @@ def test_mxn_law_is_exactly_uniform_on_the_named_tuples(parties):
         assert walk.keys() == named
         assert all(abs(p - exact) <= 1e-12 for p in walk.values())
         announced = next(iter(named))
-        assert all(abs(w - exact) <= 1e-12 for w in mxn_column(announced).values())
+        column = channel_column(Transcript(Protocol.MXN, announced))
+        assert all(abs(w - exact) <= 1e-12 for w in column.values())
 
 
 def test_label_rows_stay_unmutated():
@@ -821,7 +825,7 @@ def test_label_rows_stay_unmutated():
     row[announced] = 1.0
     row[(BellLabel.PHI_PLUS,) * 4] = 0.5
     assert mxn_row(secrets) == want
-    assert mxn_column(announced)[secrets] == want[announced]
+    assert channel_column(Transcript(Protocol.MXN, announced))[secrets] == want[announced]
     leakage_report(Protocol.MXN, 4)
     for candidate in itertools.product(BellLabel, repeat=4):
         channel_column(Transcript(Protocol.MXN, candidate))
