@@ -159,7 +159,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     _check_parties(protocol, args.parties)
     rep = leakage_report(protocol, args.parties)
     if args.format == "json":
-        print(json.dumps(report_mod.leakage_document(rep), indent=2, sort_keys=True))
+        print(report_mod.leakage_json(rep))
     else:
         print(report_mod.leakage_text(rep))
     return 0

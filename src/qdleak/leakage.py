@@ -7,10 +7,12 @@ assignments that could have produced the announced transcript, weighted by
 the probability of producing it.  That probability, P(announced | secrets),
 is each protocol's transcript channel, read one column at a time from
 :mod:`qdleak.protocols` (:func:`~qdleak.protocols.channel_column`): a
-single transcript's posterior is its column, normalized, and an audit
-reads the column of every tuple of the announced alphabet.  Nothing here
-depends on how a protocol produces its announcements.  Leakage is
-quantified in bits:
+single transcript's posterior is its column, normalized.  An audit walks
+every tuple of the announced alphabet, but a tuple's column depends only on
+the public syndrome it names, so the audit computes one posterior per coset
+(2^N for mxn, 4 for nba, 2 for jz and otp) and shares it across that
+coset's transcripts.  Nothing here depends on how a protocol produces its
+announcements.  Leakage is quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
 
@@ -40,6 +42,7 @@ from .protocols import (
     TranscriptError,
     basis_labels_of,
     channel_column,
+    named_coset,
     party_count,
     total_secret_bits,
 )
@@ -186,30 +189,35 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     uniform secrets (and uniform initial state / key where one exists) and
     audit each one's posterior.
 
-    Transcripts come in the order of their symbols' texts: one channel
-    column per tuple of :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS`,
-    skipping the tuples no assignment produces.  An mxn column refuses a
+    Transcripts come in the order of their symbols' texts: one tuple of
+    :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` each, skipping the tuples
+    no assignment produces.  Each tuple names a coset
+    (:func:`~qdleak.protocols.named_coset`), and its probability, posterior
+    and entropy are computed once per coset, the first time a tuple names
+    it, and shared by every entry of that coset.  An mxn column refuses a
     party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
     n = party_count(protocol, parties)
     total = total_secret_bits(protocol, n)
     prior = 1.0 / 2**total
-    # Posteriors of one audit share a handful of probability vectors.
-    entropies: dict[tuple[float, ...], float] = {}
+    # syndrome -> (probability, posterior, entropy, leaked), one per coset:
+    # a syndrome names one coset at one weight, and Posterior is frozen.
+    audits: dict[object, tuple[float, Posterior, float, float]] = {}
     entries = []
     for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n):
         transcript = Transcript(protocol, announced)
-        weights = channel_column(transcript)
-        if not weights:
+        named = named_coset(transcript)
+        if named is None:
             continue
-        probability = prior * sum(weights.values())
-        posterior = Posterior.from_weights(weights.items())
-        probabilities = posterior.probabilities
-        entropy = entropies.get(probabilities)
-        if entropy is None:
-            entropy = entropies[probabilities] = shannon_entropy(probabilities)
-        entries.append(
-            TranscriptLeakage(transcript, probability, posterior, entropy, total - entropy)
-        )
+        syndrome, coset, weight = named
+        audit = audits.get(syndrome)
+        if audit is None:
+            weights = dict.fromkeys(coset, weight)
+            posterior = Posterior.from_weights(weights.items())
+            entropy = shannon_entropy(posterior.probabilities)
+            audit = audits[syndrome] = (
+                prior * sum(weights.values()), posterior, entropy, total - entropy
+            )
+        entries.append(TranscriptLeakage(transcript, *audit))
     secure = sum(e.probability * e.entropy_bits for e in entries)
     return LeakageReport(
         protocol=protocol,

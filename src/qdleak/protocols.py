@@ -11,11 +11,12 @@ two syndrome functions: the bits every transcript of an assignment
 publishes (:func:`_public_syndrome`: alice ^ bob for nba, jz and otp, the
 GHZ label for mxn), and the syndrome an announced tuple names, at one
 probability (:func:`_named_syndrome`).  A column is that syndrome's coset,
-one entry of one table (:func:`_cosets`).  An audit reads one column per
-tuple of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols
-are listed in audit order (the order of their texts); a single posterior
-reads one column.  What an outside observer can infer from the
-announcements is the business of :mod:`qdleak.leakage`.
+one entry of one table (:func:`_cosets`), at that weight
+(:func:`named_coset`).  An audit reads the named coset of every tuple of
+the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols are
+listed in audit order (the order of their texts); a single posterior reads
+one column.  What an outside observer can infer from the announcements is
+the business of :mod:`qdleak.leakage`.
 
 Every layer takes the party counts decided here once: :func:`party_count`
 accepts None or 2 for nba, jz and otp and 2..6 for mxn assignments,
@@ -730,13 +731,25 @@ def _cosets(
     return {syndrome: tuple(coset) for syndrome, coset in table.items()}
 
 
+def named_coset(
+    transcript: Transcript,
+) -> tuple[Bits | int, tuple[SecretAssignment, ...], float] | None:
+    """The (syndrome, coset, weight) a transcript names: its public
+    syndrome, the shared assignments publishing it, and P(announced |
+    secrets) for each of them; None when no assignment produces it."""
+    named = _named_syndrome(transcript)
+    if named is None:
+        return None
+    syndrome, weight = named
+    return syndrome, _cosets(transcript.protocol, len(transcript.announced))[syndrome], weight
+
+
 def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
     """Every assignment that can produce the transcript, with
     P(announced | secrets): the coset of the syndrome the transcript names,
     each at that syndrome's weight."""
-    named = _named_syndrome(transcript)
+    named = named_coset(transcript)
     if named is None:
         return {}
-    syndrome, weight = named
-    coset = _cosets(transcript.protocol, len(transcript.announced))[syndrome]
+    _, coset, weight = named
     return dict.fromkeys(coset, weight)

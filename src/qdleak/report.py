@@ -2,13 +2,18 @@
 
 JSON documents are plain dicts (stable under json round-trips), carry a
 ``schema_version`` and a ``kind`` discriminator, and validate against the
-schemas published here.  Text rendering is deterministic: fixed 9-decimal
-floats, stable orderings.
+schemas published here.  :func:`leakage_json` writes an audit's document
+as ``json.dumps(..., indent=2, sort_keys=True)`` would, without building
+it.  Text rendering is deterministic: fixed 9-decimal floats, stable
+orderings.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json
+import math
+from dataclasses import replace
+from typing import Any, Callable
 
 from .leakage import LeakageReport, Posterior
 from .protocols import (
@@ -40,6 +45,20 @@ _BELL_TEXTS = {label: label.text for label in BellLabel}
 
 def announced_text(transcript: Transcript) -> list[str]:
     return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
+
+
+def _rendered_symbols(
+    transcript: Transcript, rendered: dict[int, str], render: Callable[[str], str]
+) -> list[str]:
+    """The announced symbols' texts passed through ``render``; ``rendered``
+    keeps each symbol's result by identity, so a call renders it once."""
+    texts = []
+    for symbol in transcript.announced:
+        text = rendered.get(id(symbol))
+        if text is None:
+            text = rendered[id(symbol)] = render(_BELL_TEXTS.get(symbol, symbol))
+        texts.append(text)
+    return texts
 
 
 def _posterior_doc(
@@ -82,6 +101,67 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
             for entry in report.per_transcript
         ],
     }
+
+
+def _json_number(x: Any) -> str:
+    """A number as json.dumps writes it: ``float.__repr__`` for a finite
+    float, NaN/Infinity/-Infinity for the others."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+
+
+def _json_block(brackets: str, items: list[str], depth: int) -> str:
+    """An array ("[]") or object ("{}") of items rendered for ``depth + 1``,
+    closing at indent level ``depth``, laid out as ``json.dumps(indent=2)``
+    does."""
+    if not items:
+        return brackets
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+def _posterior_json(posterior: Posterior) -> str:
+    hypotheses = [
+        _json_block(
+            "{}",
+            [
+                f'"prob": {_json_number(prob)}',
+                '"secrets": '
+                + _json_block("[]", [json.dumps(bits_to_str(b)) for b in secrets.full_bits], 5),
+            ],
+            4,
+        )
+        for secrets, prob in posterior.hypotheses
+    ]
+    return _json_block("[]", hypotheses, 3)
+
+
+def leakage_json(report: LeakageReport) -> str:
+    """``json.dumps(leakage_document(report), indent=2, sort_keys=True)``,
+    byte for byte, in one pass over the report: the head is json.dumps of
+    the head fields, each transcript is laid out directly, and each
+    distinct posterior (by identity) and each symbol is rendered once per
+    call."""
+    head = json.dumps(
+        leakage_document(replace(report, per_transcript=())), indent=2, sort_keys=True
+    )
+    symbols: dict[int, str] = {}
+    posteriors: dict[int, str] = {}
+    transcripts = []
+    for entry in report.per_transcript:
+        posterior = posteriors.get(id(entry.posterior))
+        if posterior is None:
+            posterior = posteriors[id(entry.posterior)] = _posterior_json(entry.posterior)
+        announced = _rendered_symbols(entry.transcript, symbols, json.dumps)
+        fields = [  # in sorted key order, as sort_keys writes them
+            '"announced": ' + _json_block("[]", announced, 3),
+            f'"entropy_bits": {_json_number(entry.entropy_bits)}',
+            f'"leaked_bits": {_json_number(entry.leaked_bits)}',
+            f'"posterior": {posterior}',
+            f'"probability": {_json_number(entry.probability)}',
+        ]
+        transcripts.append(_json_block("{}", fields, 2))
+    # "transcripts" sorts last, so the head ends in its empty array
+    return head.removesuffix("[]\n}") + _json_block("[]", transcripts, 1) + "\n}"
 
 
 def run_document(record: RunRecord, seed: int | None = None) -> dict[str, Any]:
@@ -255,12 +335,18 @@ def leakage_text(report: LeakageReport) -> str:
     lines.append(f"secure_bits: {_f(report.secure_bits)}")
     lines.append(f"leaked_bits: {_f(report.leaked_bits)}")
     lines.append(f"transcripts ({len(report.per_transcript)}):")
+    symbols: dict[int, str] = {}
+    # Keyed by the identity of an entry's numbers, which the entries of one
+    # coset share, so each posterior's suffix is rendered once.
+    suffixes: dict[tuple[int, ...], str] = {}
     for entry in report.per_transcript:
-        announced = " ".join(announced_text(entry.transcript))
-        lines.append(
-            f"  {announced}  p={_f(entry.probability)}"
-            f"  entropy={_f(entry.entropy_bits)}  leaked={_f(entry.leaked_bits)}"
-        )
+        numbers = (entry.probability, entry.entropy_bits, entry.leaked_bits)
+        key = tuple(map(id, numbers))
+        suffix = suffixes.get(key)
+        if suffix is None:
+            suffix = suffixes[key] = "  p={}  entropy={}  leaked={}".format(*map(_f, numbers))
+        announced = " ".join(_rendered_symbols(entry.transcript, symbols, str))
+        lines.append(f"  {announced}{suffix}")
     if report.protocol is Protocol.NBA:
         lines.append("")
         lines.append(operation_table_text())

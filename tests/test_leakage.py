@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdleak import protocols
+from qdleak import leakage, protocols
 from qdleak.leakage import (
     LeakageReport,
     Posterior,
@@ -394,6 +394,37 @@ def test_leakage_report_is_the_row_table_audit(protocol, parties):
         want.leaked_bits,
     )
     assert report == want
+
+
+@pytest.mark.parametrize(
+    "protocol, parties, cosets",
+    [
+        (Protocol.NBA, None, 4),
+        (Protocol.JZ, None, 2),
+        (Protocol.OTP, None, 2),
+        *((Protocol.MXN, n, 2**n) for n in MXN_PARTIES),
+    ],
+)
+def test_leakage_report_builds_one_posterior_per_coset(monkeypatch, protocol, parties, cosets):
+    """The entries of one coset share one Posterior, built and measured
+    once, however many transcripts name the coset."""
+    built, measured = [], []
+    from_weights, entropy = Posterior.from_weights, leakage.shannon_entropy
+
+    def counting_from_weights(cls, weighted):
+        built.append(1)
+        return from_weights(weighted)
+
+    def counting_entropy(probabilities):
+        measured.append(1)
+        return entropy(probabilities)
+
+    monkeypatch.setattr(Posterior, "from_weights", classmethod(counting_from_weights))
+    monkeypatch.setattr(leakage, "shannon_entropy", counting_entropy)
+    report = leakage_report(protocol, parties)
+    assert len({id(e.posterior) for e in report.per_transcript}) == cosets
+    assert len(built) == len(measured) == cosets
+    assert len(report.per_transcript) > cosets
 
 
 def test_two_party_paths_build_no_state_vector(monkeypatch):

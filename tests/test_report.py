@@ -1,13 +1,24 @@
 """Document building, schema validation, and text rendering."""
 
+import dataclasses
 import json
+import math
+import os
 
 import jsonschema
 import pytest
 
-from qdleak.leakage import leakage_report, shannon_entropy
+from qdleak.leakage import (
+    LeakageReport,
+    Posterior,
+    TranscriptLeakage,
+    leakage_report,
+    shannon_entropy,
+)
 from qdleak.protocols import (
     Protocol,
+    Transcript,
+    all_secret_assignments,
     jz_secrets,
     mxn_secrets,
     nba_secrets,
@@ -20,7 +31,9 @@ from qdleak.report import (
     LEAKAGE_SCHEMA,
     RUN_SCHEMA,
     SCHEMA_VERSION,
+    announced_text,
     leakage_document,
+    leakage_json,
     leakage_text,
     operation_table_text,
     party_name,
@@ -93,6 +106,103 @@ def test_leakage_document_entries_share_no_containers():
     twin = next(h["secrets"] for h in hypotheses[1:] if h["secrets"] == first)
     first[0] = "edited"
     assert twin[0] != "edited"
+
+
+ALL_AUDITS = [
+    (Protocol.NBA, None),
+    (Protocol.JZ, None),
+    (Protocol.OTP, None),
+    *((Protocol.MXN, n) for n in (3, 4, 5, 6)),
+]
+
+
+def dumped(report: LeakageReport) -> str:
+    return json.dumps(leakage_document(report), indent=2, sort_keys=True)
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equality, reported by the first differing offset: pytest's own diff
+    of two mxn documents takes minutes."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        window = slice(max(at - 60, 0), at + 60)
+        pytest.fail(f"differs at {at}: {got[window]!r} != {want[window]!r}")
+
+
+@pytest.mark.parametrize("protocol,parties", ALL_AUDITS)
+def test_leakage_json_is_the_dumped_document(protocol, parties):
+    report = leakage_report(protocol, parties)
+    text = leakage_json(report)
+    assert_same_text(text, dumped(report))
+    jsonschema.validate(json.loads(text), LEAKAGE_SCHEMA)
+
+
+def test_leakage_json_renders_equal_but_distinct_posteriors():
+    """Every entry gets its own copy of another coset's posterior: the
+    identity memo must neither merge the copies nor keep the old pairing."""
+    report = leakage_report(Protocol.MXN, 3)
+    entries = report.per_transcript
+    shuffled = tuple(
+        dataclasses.replace(e, posterior=dataclasses.replace(entries[-1 - i].posterior))
+        for i, e in enumerate(entries)
+    )
+    assert shuffled[0].posterior == entries[-1].posterior
+    assert shuffled[0].posterior is not entries[-1].posterior
+    changed = dataclasses.replace(report, per_transcript=shuffled)
+    assert_same_text(leakage_json(changed), dumped(changed))
+    assert leakage_json(changed) != leakage_json(report)
+
+
+def _hand_built_reports():
+    a, b, c, _ = all_secret_assignments(Protocol.OTP)
+    shared = Posterior(((a, 0.5), (b, 0.5)))
+    entry = TranscriptLeakage(Transcript(Protocol.OTP, ("0", "1")), 0.5, shared, 1.0, 1.0)
+    odd = Posterior(((a, math.nan), (c, math.inf)))
+    non_finite = (
+        TranscriptLeakage(Transcript(Protocol.OTP, ("1", "1")), math.inf, odd, -0.0, math.nan),
+        dataclasses.replace(entry, probability=1e-300, posterior=odd),
+    )
+    return {
+        "no params": LeakageReport(Protocol.OTP, None, 2, 1.0, 1.0, (entry, entry)),
+        "non-finite": LeakageReport(Protocol.OTP, None, 2, math.nan, -math.inf, non_finite),
+        "no transcripts": LeakageReport(Protocol.OTP, None, 2, 0.0, 2.0, ()),
+    }
+
+
+@pytest.mark.parametrize(
+    "name, fragment",
+    [
+        ("no params", '\n  "params": {},\n'),
+        ("non-finite", '"probability": Infinity\n'),
+        ("no transcripts", '"transcripts": []\n}'),
+    ],
+)
+def test_leakage_json_of_hand_built_reports(name, fragment):
+    report = _hand_built_reports()[name]
+    text = leakage_json(report)
+    assert_same_text(text, dumped(report))
+    assert fragment in text
+
+
+def test_leakage_text_lines_render_each_entry_own_numbers():
+    """Entries that share number objects share one rendered suffix; entries
+    with fresh or differing numbers get their own, so each line still shows
+    its entry's values."""
+    report = leakage_report(Protocol.MXN, 3)
+    entries = tuple(
+        dataclasses.replace(e, probability=e.probability * (i % 3 + 1), leaked_bits=-0.0)
+        if i % 2
+        else e
+        for i, e in enumerate(report.per_transcript)
+    )
+    report = dataclasses.replace(report, per_transcript=entries)
+    lines = leakage_text(report).splitlines()
+    start = lines.index(f"transcripts ({len(entries)}):") + 1
+    assert lines[start : start + len(entries)] == [
+        f"  {' '.join(announced_text(e.transcript))}  p={e.probability:.9f}"
+        f"  entropy={e.entropy_bits:.9f}  leaked={e.leaked_bits:.9f}"
+        for e in entries
+    ]
 
 
 def test_run_documents_validate(tmp_path):
