@@ -11,11 +11,11 @@ protocols, which the table makes visible).
 """
 
 import argparse
-import json
+import textwrap
 
 from qdleak.leakage import leakage_report
 from qdleak.protocols import MXN_PARTIES, Protocol
-from qdleak.report import leakage_document
+from qdleak.report import leakage_json
 
 
 def audit_rows():
@@ -31,8 +31,10 @@ def main() -> int:
     args = parser.parse_args()
 
     if args.json:
-        docs = [leakage_document(rep) for rep in audit_rows()]
-        print(json.dumps(docs, indent=2, sort_keys=True))
+        # json.dumps(docs, indent=2, sort_keys=True) of the reports'
+        # documents: each one's leakage_json, one level deeper in a list
+        docs = (textwrap.indent(leakage_json(rep), "  ") for rep in audit_rows())
+        print("[\n" + ",\n".join(docs) + "\n]")
         return 0
 
     header = f"{'protocol':<10}{'parties':>8}{'total':>7}{'secure':>9}{'leaked':>9}{'transcripts':>13}{'entropy/t':>11}"

@@ -40,9 +40,10 @@ from .protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _cosets,
+    alphabet_syndromes,
     basis_labels_of,
     channel_column,
-    named_coset,
     party_count,
     total_secret_bits,
 )
@@ -191,33 +192,36 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
 
     Transcripts come in the order of their symbols' texts: one tuple of
     :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` each, skipping the tuples
-    no assignment produces.  Each tuple names a coset
-    (:func:`~qdleak.protocols.named_coset`), and its probability, posterior
-    and entropy are computed once per coset, the first time a tuple names
-    it, and shared by every entry of that coset.  An mxn column refuses a
-    party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
+    no assignment produces.  The syndromes and weights of all tuples come
+    from one call (:func:`~qdleak.protocols.alphabet_syndromes`), the coset
+    table is read once, and each coset's probability, posterior and entropy
+    are computed once, the first time a tuple names it, and shared by every
+    entry of that coset; per tuple there is only a validated
+    :class:`~qdleak.protocols.Transcript` and its entry.  An mxn audit
+    refuses a party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
     n = party_count(protocol, parties)
     total = total_secret_bits(protocol, n)
     prior = 1.0 / 2**total
+    named = alphabet_syndromes(protocol, n)
+    cosets = _cosets(protocol, n)
     # syndrome -> (probability, posterior, entropy, leaked), one per coset:
     # a syndrome names one coset at one weight, and Posterior is frozen.
     audits: dict[object, tuple[float, Posterior, float, float]] = {}
     entries = []
-    for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n):
-        transcript = Transcript(protocol, announced)
-        named = named_coset(transcript)
-        if named is None:
+    tuples = itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n)
+    for announced, syndrome_weight in zip(tuples, named):
+        if syndrome_weight is None:
             continue
-        syndrome, coset, weight = named
+        syndrome, weight = syndrome_weight
         audit = audits.get(syndrome)
         if audit is None:
-            weights = dict.fromkeys(coset, weight)
+            weights = dict.fromkeys(cosets[syndrome], weight)
             posterior = Posterior.from_weights(weights.items())
             entropy = shannon_entropy(posterior.probabilities)
             audit = audits[syndrome] = (
                 prior * sum(weights.values()), posterior, entropy, total - entropy
             )
-        entries.append(TranscriptLeakage(transcript, *audit))
+        entries.append(TranscriptLeakage(Transcript(protocol, announced), *audit))
     secure = sum(e.probability * e.entropy_bits for e in entries)
     return LeakageReport(
         protocol=protocol,

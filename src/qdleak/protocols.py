@@ -12,11 +12,12 @@ publishes (:func:`_public_syndrome`: alice ^ bob for nba, jz and otp, the
 GHZ label for mxn), and the syndrome an announced tuple names, at one
 probability (:func:`_named_syndrome`).  A column is that syndrome's coset,
 one entry of one table (:func:`_cosets`), at that weight
-(:func:`named_coset`).  An audit reads the named coset of every tuple of
-the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols are
-listed in audit order (the order of their texts); a single posterior reads
-one column.  What an outside observer can infer from the announcements is
-the business of :mod:`qdleak.leakage`.
+(:func:`named_coset`).  An audit reads the named syndrome of every tuple
+of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols are
+listed in audit order (the order of their texts), from one call
+(:func:`alphabet_syndromes`); a single posterior reads one column.  What an
+outside observer can infer from the announcements is the business of
+:mod:`qdleak.leakage`.
 
 Every layer takes the party counts decided here once: :func:`party_count`
 accepts None or 2 for nba, jz and otp and 2..6 for mxn assignments,
@@ -65,7 +66,12 @@ label's bits, the draws the engine's collapse would make, and the parties
 decode from the same coset the column reads.  Labels need no state vector
 either.  The coding alphabet acts on them linearly over GF(2), so an
 assignment's label (:func:`mxn_label`) and an announced tuple's label
-(:func:`deduce_ghz_from_bells`) are each a few XORs.  The engine versions,
+(:func:`deduce_ghz_from_bells`) are each a few XORs.  A tuple's label code
+is the XOR of one term per pair, read from one cached term table per party
+count (:func:`_label_terms`), the only definition of the code: runs,
+decoding and columns XOR one tuple's terms, and the audit walks the table
+once, pair by pair, for the codes of all 4^N tuples
+(:func:`alphabet_syndromes`).  The engine versions,
 :func:`ghz_after_ops`, :func:`paired_bell_probability` on
 :func:`mxn_encoded_state` and every label's own walk, are what tests hold
 them to.
@@ -229,6 +235,7 @@ ANNOUNCED_SYMBOLS = {
     Protocol.OTP: ("0", "1"),
     Protocol.MXN: tuple(BellLabel),
 }
+_MXN_SYMBOLS = ANNOUNCED_SYMBOLS[Protocol.MXN]
 
 
 def nba_secrets(alice: BitsLike, bob: BitsLike) -> SecretAssignment:
@@ -591,17 +598,33 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     return {all_ghz_labels(n)[_label_code(outcomes)]}
 
 
+@functools.lru_cache(maxsize=None)
+def _label_terms(parties: int) -> tuple[tuple[int, ...], ...]:
+    """Each pair's share of the label code, one tuple per pair indexed like
+    :data:`ANNOUNCED_SYMBOLS`: the code of a tuple is the XOR of its
+    symbols' terms.  The code holds x then y_1..y_(N-1), most significant
+    first; a minus bit sets x, pair i >= 1's psi bit sets y_i, and pair 0's
+    psi bit flips every y bit, since y_i = psi_0 ^ psi_i."""
+    x_bit = 1 << (parties - 1)
+    psi_terms = (x_bit - 1, *(x_bit >> pair for pair in range(1, parties)))
+    symbols = [_BELL_BITS[label] for label in _MXN_SYMBOLS]
+    return tuple(
+        tuple(psi * psi_term ^ minus * x_bit for psi, minus in symbols)
+        for psi_term in psi_terms
+    )
+
+
 def _label_code(outcomes: Sequence[BellLabel]) -> int:
     """:func:`deduce_ghz_from_bells`' label as its index in
-    :func:`~qdleak.qstate.all_ghz_labels`, the bits of x then y, without
-    its input checks: callers pass a validated transcript's tuple."""
-    psi0 = _BELL_BITS[outcomes[0]][0]
-    x = y = 0
-    for label in outcomes:
-        psi, minus = _BELL_BITS[label]
-        x ^= minus
-        y = (y << 1) | (psi ^ psi0)  # pair 0 adds a leading 0 bit
-    return (x << (len(outcomes) - 1)) | y
+    :func:`~qdleak.qstate.all_ghz_labels`, the bits of x then y: the XOR of
+    the symbols' :func:`_label_terms`.  It skips the input checks: callers
+    pass a validated transcript's tuple."""
+    code = 0
+    for terms, label in zip(_label_terms(len(outcomes)), outcomes):
+        # tuple.index compares by identity in C; a dict keyed by the label
+        # would call Enum's Python-level __hash__
+        code ^= terms[_MXN_SYMBOLS.index(label)]
+    return code
 
 
 def paired_bell_probability(
@@ -742,6 +765,29 @@ def named_coset(
         return None
     syndrome, weight = named
     return syndrome, _cosets(transcript.protocol, len(transcript.announced))[syndrome], weight
+
+
+def alphabet_syndromes(
+    protocol: Protocol, parties: int | None = None
+) -> list[tuple[Bits | int, float] | None]:
+    """The (syndrome, weight) every tuple of the announced alphabet names,
+    or None where no assignment produces it, in ``itertools.product``
+    order: entry i is :func:`_named_syndrome` of the i-th tuple.  An mxn
+    code is the XOR of one :func:`_label_terms` term per pair, so the codes
+    of all 4^N tuples come from one walk of the term table, pair by pair;
+    the other protocols' 16 tuples at most are read one by one."""
+    n = party_count(protocol, parties)
+    if protocol is Protocol.MXN:
+        weight = _tuple_probability(_check_mxn_parties(n))
+        codes = [0]
+        for terms in _label_terms(n):
+            codes = [code ^ term for code in codes for term in terms]
+        named = [(code, weight) for code in range(2**n)]  # shared by a label's tuples
+        return [named[code] for code in codes]
+    return [
+        _named_syndrome(Transcript(protocol, announced))
+        for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n)
+    ]
 
 
 def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:

@@ -17,6 +17,7 @@ from typing import Any, Callable
 
 from .leakage import LeakageReport, Posterior
 from .protocols import (
+    ANNOUNCED_SYMBOLS,
     MXN_PARTIES,
     Protocol,
     RunRecord,
@@ -47,18 +48,12 @@ def announced_text(transcript: Transcript) -> list[str]:
     return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
 
 
-def _rendered_symbols(
-    transcript: Transcript, rendered: dict[int, str], render: Callable[[str], str]
-) -> list[str]:
-    """The announced symbols' texts passed through ``render``; ``rendered``
-    keeps each symbol's result by identity, so a call renders it once."""
-    texts = []
-    for symbol in transcript.announced:
-        text = rendered.get(id(symbol))
-        if text is None:
-            text = rendered[id(symbol)] = render(_BELL_TEXTS.get(symbol, symbol))
-        texts.append(text)
-    return texts
+def _symbol_texts(protocol: Protocol, render: Callable[[str], str]) -> dict[int, str]:
+    """The texts of the protocol's announced alphabet passed through
+    ``render``, keyed by each symbol's ``id``, so a renderer looks a symbol
+    up without hashing it.  A symbol that is equal to one of these but not
+    the same object, such as a str subclass, misses."""
+    return {id(s): render(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[protocol]}
 
 
 def _posterior_doc(
@@ -135,31 +130,48 @@ def _posterior_json(posterior: Posterior) -> str:
     return _json_block("[]", hypotheses, 3)
 
 
+def _entry_tail(
+    entropy_bits: float, leaked_bits: float, posterior: Posterior, probability: float
+) -> str:
+    """A transcript entry's JSON after its "announced" block, which sorts
+    first: the other fields in sorted key order, as sort_keys writes them,
+    and the closing brace."""
+    fields = [
+        "",  # the announced field's place; the tail starts at the comma after it
+        f'"entropy_bits": {_json_number(entropy_bits)}',
+        f'"leaked_bits": {_json_number(leaked_bits)}',
+        f'"posterior": {_posterior_json(posterior)}',
+        f'"probability": {_json_number(probability)}',
+    ]
+    return _json_block("{}", fields, 2).removeprefix("{\n      ")
+
+
 def leakage_json(report: LeakageReport) -> str:
     """``json.dumps(leakage_document(report), indent=2, sort_keys=True)``,
     byte for byte, in one pass over the report: the head is json.dumps of
-    the head fields, each transcript is laid out directly, and each
-    distinct posterior (by identity) and each symbol is rendered once per
-    call."""
+    the head fields, and each transcript is laid out directly.  Per call,
+    each symbol of the announced alphabet is rendered once, and each
+    entry's tail (:func:`_entry_tail`) once per identity of its entropy,
+    leaked bits, posterior and probability, which the entries of one coset
+    share: an audit renders one tail per coset, and per entry only its
+    announced block."""
     head = json.dumps(
         leakage_document(replace(report, per_transcript=())), indent=2, sort_keys=True
     )
-    symbols: dict[int, str] = {}
-    posteriors: dict[int, str] = {}
+    symbols = _symbol_texts(report.protocol, json.dumps)
+    tails: dict[tuple[int, ...], str] = {}
     transcripts = []
     for entry in report.per_transcript:
-        posterior = posteriors.get(id(entry.posterior))
-        if posterior is None:
-            posterior = posteriors[id(entry.posterior)] = _posterior_json(entry.posterior)
-        announced = _rendered_symbols(entry.transcript, symbols, json.dumps)
-        fields = [  # in sorted key order, as sort_keys writes them
-            '"announced": ' + _json_block("[]", announced, 3),
-            f'"entropy_bits": {_json_number(entry.entropy_bits)}',
-            f'"leaked_bits": {_json_number(entry.leaked_bits)}',
-            f'"posterior": {posterior}',
-            f'"probability": {_json_number(entry.probability)}',
-        ]
-        transcripts.append(_json_block("{}", fields, 2))
+        parts = (entry.entropy_bits, entry.leaked_bits, entry.posterior, entry.probability)
+        key = tuple(map(id, parts))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _entry_tail(*parts)
+        try:
+            announced = [symbols[id(s)] for s in entry.transcript.announced]
+        except KeyError:  # an equal symbol that is not the alphabet's own object
+            announced = list(map(json.dumps, announced_text(entry.transcript)))
+        transcripts.append('{\n      "announced": ' + _json_block("[]", announced, 3) + tail)
     # "transcripts" sorts last, so the head ends in its empty array
     return head.removesuffix("[]\n}") + _json_block("[]", transcripts, 1) + "\n}"
 
@@ -335,7 +347,7 @@ def leakage_text(report: LeakageReport) -> str:
     lines.append(f"secure_bits: {_f(report.secure_bits)}")
     lines.append(f"leaked_bits: {_f(report.leaked_bits)}")
     lines.append(f"transcripts ({len(report.per_transcript)}):")
-    symbols: dict[int, str] = {}
+    symbols = _symbol_texts(report.protocol, str)
     # Keyed by the identity of an entry's numbers, which the entries of one
     # coset share, so each posterior's suffix is rendered once.
     suffixes: dict[tuple[int, ...], str] = {}
@@ -345,8 +357,11 @@ def leakage_text(report: LeakageReport) -> str:
         suffix = suffixes.get(key)
         if suffix is None:
             suffix = suffixes[key] = "  p={}  entropy={}  leaked={}".format(*map(_f, numbers))
-        announced = " ".join(_rendered_symbols(entry.transcript, symbols, str))
-        lines.append(f"  {announced}{suffix}")
+        try:
+            announced = [symbols[id(s)] for s in entry.transcript.announced]
+        except KeyError:  # an equal symbol that is not the alphabet's own object
+            announced = announced_text(entry.transcript)
+        lines.append(f"  {' '.join(announced)}{suffix}")
     if report.protocol is Protocol.NBA:
         lines.append("")
         lines.append(operation_table_text())

@@ -11,6 +11,8 @@ which read one column per announced tuple, to these.
 An mxn row is the engine walk of its GHZ label (``_label_row``).
 ``exact_mxn_law`` is a second, independent reference for it: the same law
 as exact fractions, from an integer contraction with no floating point.
+``label_code`` is the label an announced tuple names, bit by bit, the
+reference for the term table ``qdleak.protocols._label_code`` reads.
 """
 
 from __future__ import annotations
@@ -105,6 +107,18 @@ def exact_mxn_law(label: GhzLabel) -> dict[tuple[BellLabel, ...], Fraction]:
     # k's C order is the tuples' lexicographic BellLabel order
     tuples = itertools.product(BellLabel, repeat=n)
     return {t: Fraction(v * v, 2 ** (n + 2)) for t, v in zip(tuples, k.ravel().tolist())}
+
+
+def label_code(outcomes: tuple[BellLabel, ...]) -> int:
+    """The index in ``all_ghz_labels`` of the GHZ label the tuple names,
+    pair by pair: x is the XOR of the minus bits, y_i is psi_0 ^ psi_i, and
+    the index holds x then y_1..y_(N-1), most significant first."""
+    psi = [int(label.text.startswith("psi")) for label in outcomes]
+    x = y = 0
+    for label, psi_i in zip(outcomes, psi):
+        x ^= int(label.text.endswith("-"))
+        y = (y << 1) | (psi_i ^ psi[0])  # pair 0 adds a leading 0 bit
+    return (x << (len(outcomes) - 1)) | y
 
 
 _ROWS = {

@@ -33,6 +33,7 @@ from qdleak.protocols import (
     Transcript,
     TranscriptError,
     all_secret_assignments,
+    alphabet_syndromes,
     channel_column,
     jz_outcome_label,
     mxn_decode,
@@ -495,7 +496,12 @@ def test_total_secret_bits():
 
 # --- one input contract ---------------------------------------------------
 
-_BY_COUNT = (total_secret_bits, all_secret_assignments, leakage_report)
+_BY_COUNT = (
+    total_secret_bits,
+    all_secret_assignments,
+    alphabet_syndromes,
+    leakage_report,
+)
 
 
 def _mxn_transcript(n):
@@ -515,6 +521,7 @@ _REFUSED = [
     ("run_mxn at N=2", lambda: run_mxn(mxn_secrets("01", [1]), make_rng(0))),
     ("mxn_decode at N=2", lambda: mxn_decode(0, (0, 0), _mxn_transcript(2))),
     ("channel_column at N=2", lambda: channel_column(_mxn_transcript(2))),
+    ("alphabet_syndromes at N=2", lambda: alphabet_syndromes(Protocol.MXN, 2)),
     ("eve_posterior at N=2", lambda: eve_posterior(_mxn_transcript(2))),
 ]
 

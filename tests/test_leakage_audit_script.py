@@ -1,15 +1,17 @@
 """scripts/leakage_audit.py: its summary table is the README's, and its
-JSON documents validate against the published schema."""
+JSON is the dumped list of documents, which validate against the published
+schema."""
 
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from qdleak.report import LEAKAGE_SCHEMA
+from qdleak.report import LEAKAGE_SCHEMA, leakage_document
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "leakage_audit.py"
 
@@ -69,3 +71,13 @@ def test_json_documents_validate(audit_script, monkeypatch, capsys):
         assert doc["totals"]["secure_bits"] == pytest.approx(secure, abs=1e-9)
         assert doc["totals"]["leaked_bits"] == pytest.approx(leaked, abs=1e-9)
         assert len(doc["transcripts"]) == count
+
+
+def test_json_is_the_dumped_document_list(audit_script, monkeypatch, capsys):
+    """The script lays out each report's leakage_json in a list, which must
+    be the bytes json.dumps writes for the list of documents."""
+    docs = [leakage_document(rep) for rep in audit_script.audit_rows()]
+    want = json.dumps(docs, indent=2, sort_keys=True) + "\n"
+    got = run_main(audit_script, monkeypatch, capsys, "--json")
+    if got != want:  # pytest's own diff of these strings takes minutes
+        pytest.fail(f"differs at offset {len(os.path.commonprefix([got, want]))}")

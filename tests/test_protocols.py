@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qdleak.leakage import eve_posterior, leakage_report
 from qdleak.protocols import (
+    ANNOUNCED_SYMBOLS,
     BIT_PAIRS,
     MXN_PARTIES,
     Protocol,
@@ -18,7 +19,9 @@ from qdleak.protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _label_code,
     all_secret_assignments,
+    alphabet_syndromes,
     as_bits,
     basis_labels_of,
     bits_to_str,
@@ -34,6 +37,7 @@ from qdleak.protocols import (
     mxn_label,
     mxn_ops_for_secrets,
     mxn_secrets,
+    named_coset,
     nba_consistent_pairs,
     nba_decode,
     nba_final_label,
@@ -63,7 +67,13 @@ from qdleak.qstate import (
     tensor,
 )
 
-from channel_reference import _label_row, channel_row, exact_mxn_law, mxn_row
+from channel_reference import (
+    _label_row,
+    channel_row,
+    exact_mxn_law,
+    label_code,
+    mxn_row,
+)
 
 
 def oracle_joint_bell_prob(state, labels):
@@ -227,6 +237,37 @@ def test_channel_column_is_the_row_column(protocol, parties):
     for announced in itertools.product(symbols, repeat=parties):
         want = {s: row[announced] for s, row in rows.items() if announced in row}
         assert channel_column(Transcript(protocol, announced)) == want
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [
+        (Protocol.NBA, 2),
+        (Protocol.JZ, 2),
+        (Protocol.OTP, 2),
+        (Protocol.MXN, 3),
+        (Protocol.MXN, 4),
+        (Protocol.MXN, 5),
+        (Protocol.MXN, 6),
+    ],
+)
+def test_alphabet_syndromes_are_the_named_cosets(protocol, parties):
+    """Entry i of the alphabet walk is the (syndrome, weight) the i-th
+    tuple of the alphabet names, with None at the same places."""
+    tuples = list(itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=parties))
+    named = alphabet_syndromes(protocol, parties)
+    assert len(named) == len(tuples)
+    for announced, got in zip(tuples, named):
+        want = named_coset(Transcript(protocol, announced))
+        assert got == (None if want is None else (want[0], want[2]))
+    assert (None in named) is (protocol is Protocol.JZ)
+
+
+@pytest.mark.parametrize("parties", range(2, 7))
+def test_label_code_is_the_bitwise_formula(parties):
+    """The XOR of the term table's terms is the label read bit by bit."""
+    for outcomes in itertools.product(BellLabel, repeat=parties):
+        assert _label_code(outcomes) == label_code(outcomes)
 
 
 # --- coding alphabets --------------------------------------------------
@@ -533,6 +574,10 @@ def test_deduce_validates_input():
         deduce_ghz_from_bells((BellLabel.PHI_PLUS,) * 7)
     with pytest.raises(TranscriptError):
         deduce_ghz_from_bells(("phi+", "phi+"))
+    with pytest.raises(TranscriptError):
+        deduce_ghz_from_bells((BellLabel.PHI_PLUS, BellLabel.PSI_MINUS, "psi-"))
+    with pytest.raises(TranscriptError):
+        deduce_ghz_from_bells((BellLabel.PHI_PLUS, None, BellLabel.PHI_PLUS))
 
 
 # --- MXN: full runs ----------------------------------------------------

@@ -31,7 +31,6 @@ from qdleak.report import (
     LEAKAGE_SCHEMA,
     RUN_SCHEMA,
     SCHEMA_VERSION,
-    announced_text,
     leakage_document,
     leakage_json,
     leakage_text,
@@ -153,6 +152,10 @@ def test_leakage_json_renders_equal_but_distinct_posteriors():
     assert leakage_json(changed) != leakage_json(report)
 
 
+class Symbol(str):
+    """A str subclass: equal to an alphabet symbol, never the same object."""
+
+
 def _hand_built_reports():
     a, b, c, _ = all_secret_assignments(Protocol.OTP)
     shared = Posterior(((a, 0.5), (b, 0.5)))
@@ -162,10 +165,15 @@ def _hand_built_reports():
         TranscriptLeakage(Transcript(Protocol.OTP, ("1", "1")), math.inf, odd, -0.0, math.nan),
         dataclasses.replace(entry, probability=1e-300, posterior=odd),
     )
+    foreign = (
+        dataclasses.replace(entry, transcript=Transcript(Protocol.OTP, (Symbol("1"), "0"))),
+        entry,
+    )
     return {
         "no params": LeakageReport(Protocol.OTP, None, 2, 1.0, 1.0, (entry, entry)),
         "non-finite": LeakageReport(Protocol.OTP, None, 2, math.nan, -math.inf, non_finite),
         "no transcripts": LeakageReport(Protocol.OTP, None, 2, 0.0, 2.0, ()),
+        "equal symbols": LeakageReport(Protocol.OTP, None, 2, 1.0, 1.0, foreign),
     }
 
 
@@ -175,6 +183,7 @@ def _hand_built_reports():
         ("no params", '\n  "params": {},\n'),
         ("non-finite", '"probability": Infinity\n'),
         ("no transcripts", '"transcripts": []\n}'),
+        ("equal symbols", '"announced": [\n        "1",\n        "0"\n      ]'),
     ],
 )
 def test_leakage_json_of_hand_built_reports(name, fragment):
@@ -184,10 +193,9 @@ def test_leakage_json_of_hand_built_reports(name, fragment):
     assert fragment in text
 
 
-def test_leakage_text_lines_render_each_entry_own_numbers():
-    """Entries that share number objects share one rendered suffix; entries
-    with fresh or differing numbers get their own, so each line still shows
-    its entry's values."""
+def _own_numbers_report() -> LeakageReport:
+    """An mxn audit whose odd entries keep their coset's posterior but carry
+    fresh numbers: equal ones (times 1) or different ones (times 2 or 3)."""
     report = leakage_report(Protocol.MXN, 3)
     entries = tuple(
         dataclasses.replace(e, probability=e.probability * (i % 3 + 1), leaked_bits=-0.0)
@@ -195,14 +203,62 @@ def test_leakage_text_lines_render_each_entry_own_numbers():
         else e
         for i, e in enumerate(report.per_transcript)
     )
-    report = dataclasses.replace(report, per_transcript=entries)
-    lines = leakage_text(report).splitlines()
-    start = lines.index(f"transcripts ({len(entries)}):") + 1
-    assert lines[start : start + len(entries)] == [
-        f"  {' '.join(announced_text(e.transcript))}  p={e.probability:.9f}"
-        f"  entropy={e.entropy_bits:.9f}  leaked={e.leaked_bits:.9f}"
-        for e in entries
+    return dataclasses.replace(report, per_transcript=entries)
+
+
+def test_leakage_json_keeps_each_entry_tail():
+    """Entries that share a posterior but not their numbers each render
+    their own tail: the tail memo keys on all four of them."""
+    report = _own_numbers_report()
+    probabilities: dict[int, set[float]] = {}
+    for e in report.per_transcript:
+        probabilities.setdefault(id(e.posterior), set()).add(e.probability)
+    assert any(len(shared) > 1 for shared in probabilities.values())
+    assert_same_text(leakage_json(report), dumped(report))
+
+
+def reference_leakage_text(report: LeakageReport) -> str:
+    """``leakage_text`` with one f-string per line and no memo."""
+    lines = [f"protocol: {report.protocol.text}"]
+    if report.parties is not None:
+        lines.append(f"parties: {report.parties}")
+    lines += [
+        f"total_bits: {report.total_bits}",
+        f"secure_bits: {report.secure_bits:.9f}",
+        f"leaked_bits: {report.leaked_bits:.9f}",
+        f"transcripts ({len(report.per_transcript)}):",
     ]
+    for e in report.per_transcript:
+        announced = " ".join(
+            s.text if isinstance(s, BellLabel) else s for s in e.transcript.announced
+        )
+        lines.append(
+            f"  {announced}  p={e.probability:.9f}"
+            f"  entropy={e.entropy_bits:.9f}  leaked={e.leaked_bits:.9f}"
+        )
+    if report.protocol is Protocol.NBA:
+        lines += ["", operation_table_text()]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("protocol,parties", ALL_AUDITS)
+def test_leakage_text_is_the_reference_rendering(protocol, parties):
+    report = leakage_report(protocol, parties)
+    assert_same_text(leakage_text(report), reference_leakage_text(report))
+
+
+@pytest.mark.parametrize("name", sorted(_hand_built_reports()))
+def test_leakage_text_of_hand_built_reports(name):
+    report = _hand_built_reports()[name]
+    assert_same_text(leakage_text(report), reference_leakage_text(report))
+
+
+def test_leakage_text_lines_render_each_entry_own_numbers():
+    """Entries that share number objects share one rendered suffix; entries
+    with fresh or differing numbers get their own, so each line still shows
+    its entry's values."""
+    report = _own_numbers_report()
+    assert_same_text(leakage_text(report), reference_leakage_text(report))
 
 
 def test_run_documents_validate(tmp_path):
