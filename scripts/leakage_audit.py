@@ -11,8 +11,10 @@ protocols, which the table makes visible).
 """
 
 import argparse
+import sys
 import textwrap
 
+from qdleak.cli import closed_stdout
 from qdleak.leakage import leakage_report
 from qdleak.protocols import MXN_PARTIES, Protocol
 from qdleak.report import leakage_json
@@ -29,13 +31,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="emit full reports as JSON")
     args = parser.parse_args()
+    try:
+        print_audit(args.json)
+        sys.stdout.flush()
+        return 0
+    except BrokenPipeError:
+        return closed_stdout()
 
-    if args.json:
+
+def print_audit(as_json: bool) -> None:
+    if as_json:
         # json.dumps(docs, indent=2, sort_keys=True) of the reports'
         # documents: each one's leakage_json, one level deeper in a list
         docs = (textwrap.indent(leakage_json(rep), "  ") for rep in audit_rows())
         print("[\n" + ",\n".join(docs) + "\n]")
-        return 0
+        return
 
     header = f"{'protocol':<10}{'parties':>8}{'total':>7}{'secure':>9}{'leaked':>9}{'transcripts':>13}{'entropy/t':>11}"
     print(header)
@@ -52,7 +62,6 @@ def main() -> int:
             f"{len(rep.per_transcript):>13}"
             f"{shown:>11}"
         )
-    return 0
 
 
 if __name__ == "__main__":

@@ -9,16 +9,18 @@ Three subcommands:
 * ``table1``: print the coding-operation table for the Bell-pair dialogue
   with initial state psi+.
 
-Exit codes: 0 on success, 1 on inconsistent/corrupted protocol data, 2 on
-usage errors.  Output is deterministic: the same command line (including
-``--seed``, default 0) produces byte-identical output.  Diagnostics go to
-stderr, results to stdout.
+Exit codes: 0 on success, 1 on inconsistent/corrupted protocol data or
+when the reader closes stdout early (``| head``, which ends quietly:
+:func:`closed_stdout`), 2 on usage errors.  Output is deterministic: the
+same command line (including ``--seed``, default 0) produces
+byte-identical output.  Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -165,16 +167,29 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
+def closed_stdout() -> int:
+    """The exit code after the reader closed stdout: fd 1 now points at
+    os.devnull, so the interpreter's last flush of stdout cannot fail
+    again, and the code is 1, Python's own convention."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        print(report_mod.operation_table_text())
-        return 0
+            code = _cmd_run(args)
+        elif args.command == "analyze":
+            code = _cmd_analyze(args)
+        else:
+            print(report_mod.operation_table_text())
+            code = 0
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        return closed_stdout()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

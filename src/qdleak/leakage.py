@@ -41,6 +41,7 @@ from .protocols import (
     Transcript,
     TranscriptError,
     _cosets,
+    _tuple_weight,
     alphabet_syndromes,
     basis_labels_of,
     channel_column,
@@ -192,33 +193,33 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
 
     Transcripts come in the order of their symbols' texts: one tuple of
     :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` each, skipping the tuples
-    no assignment produces.  The syndromes and weights of all tuples come
-    from one call (:func:`~qdleak.protocols.alphabet_syndromes`), the coset
-    table is read once, and each coset's probability, posterior and entropy
-    are computed once, the first time a tuple names it, and shared by every
-    entry of that coset; per tuple there is only a validated
+    whose code names no coset.  The codes of all tuples come from one call
+    (:func:`~qdleak.protocols.alphabet_syndromes`), the weight and the coset
+    table are read once, and each coset's probability, posterior and
+    entropy are computed once, the first time a tuple names it, and shared
+    by every entry of that coset; per tuple there is only a validated
     :class:`~qdleak.protocols.Transcript` and its entry.  An mxn audit
     refuses a party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
     n = party_count(protocol, parties)
     total = total_secret_bits(protocol, n)
     prior = 1.0 / 2**total
-    named = alphabet_syndromes(protocol, n)
+    codes = alphabet_syndromes(protocol, n)
+    weight = _tuple_weight(protocol, n)
     cosets = _cosets(protocol, n)
-    # syndrome -> (probability, posterior, entropy, leaked), one per coset:
-    # a syndrome names one coset at one weight, and Posterior is frozen.
-    audits: dict[object, tuple[float, Posterior, float, float]] = {}
+    # code -> (probability, posterior, entropy, leaked), one per coset:
+    # a code names one coset, and Posterior is frozen.
+    audits: dict[int, tuple[float, Posterior, float, float]] = {}
     entries = []
     tuples = itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n)
-    for announced, syndrome_weight in zip(tuples, named):
-        if syndrome_weight is None:
+    for announced, code in zip(tuples, codes):
+        if code not in cosets:
             continue
-        syndrome, weight = syndrome_weight
-        audit = audits.get(syndrome)
+        audit = audits.get(code)
         if audit is None:
-            weights = dict.fromkeys(cosets[syndrome], weight)
+            weights = dict.fromkeys(cosets[code], weight)
             posterior = Posterior.from_weights(weights.items())
             entropy = shannon_entropy(posterior.probabilities)
-            audit = audits[syndrome] = (
+            audit = audits[code] = (
                 prior * sum(weights.values()), posterior, entropy, total - entropy
             )
         entries.append(TranscriptLeakage(Transcript(protocol, announced), *audit))

@@ -6,15 +6,18 @@ Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
 Each protocol also has its transcript channel here, P(announced | secrets),
 read one column at a time: :func:`channel_column` gives every assignment
-that can produce one announced tuple, with its probability.  A protocol is
-two syndrome functions: the bits every transcript of an assignment
-publishes (:func:`_public_syndrome`: alice ^ bob for nba, jz and otp, the
-GHZ label for mxn), and the syndrome an announced tuple names, at one
-probability (:func:`_named_syndrome`).  A column is that syndrome's coset,
-one entry of one table (:func:`_cosets`), at that weight
-(:func:`named_coset`).  An audit reads the named syndrome of every tuple
-of the announced alphabet, :data:`ANNOUNCED_SYMBOLS`, whose symbols are
-listed in audit order (the order of their texts), from one call
+that can produce one announced tuple, with its probability.  Every
+protocol's channel is one syndrome code over GF(2) and one weight.  An
+announced tuple names a code, the XOR of one term per position from one
+cached term table (:func:`_label_terms`, :func:`_label_code`); an
+assignment publishes one (:func:`_public_syndrome`: alice ^ bob for nba,
+jz and otp, the GHZ label for mxn); and one table (:func:`_cosets`) groups
+the assignments by the code they publish.  A column is the coset of the
+code a tuple names, at the protocol's weight (:func:`_tuple_weight`,
+:func:`named_coset`); a code that is no key of the table names no coset.
+An audit reads the code of every tuple of the announced alphabet,
+:data:`ANNOUNCED_SYMBOLS`, whose symbols are listed in audit order (the
+order of their texts), from one walk of the term table
 (:func:`alphabet_syndromes`); a single posterior reads one column.  What an
 outside observer can infer from the announcements is the business of
 :mod:`qdleak.leakage`.
@@ -51,7 +54,10 @@ sx flips psi, sz flips minus and isy = ZX flips both, so NBA coding bits
 initial one flipped by the XOR of the two parties' bits, which the
 transcript thereby makes public.  JZ's isy flips the ket within either
 basis, so the outcome differs from the initial ket exactly when the two
-bits differ.  The engine versions of both are what tests hold them to.
+bits differ.  So a two-party tuple's code is the XOR of its symbols'
+indices in the alphabet, whose bits are a Bell label's (psi, minus) or a
+ket's (basis, value); a jz code with the basis bit set names no coset.
+The engine versions of both are what tests hold them to.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
@@ -67,11 +73,9 @@ decode from the same coset the column reads.  Labels need no state vector
 either.  The coding alphabet acts on them linearly over GF(2), so an
 assignment's label (:func:`mxn_label`) and an announced tuple's label
 (:func:`deduce_ghz_from_bells`) are each a few XORs.  A tuple's label code
-is the XOR of one term per pair, read from one cached term table per party
-count (:func:`_label_terms`), the only definition of the code: runs,
-decoding and columns XOR one tuple's terms, and the audit walks the table
-once, pair by pair, for the codes of all 4^N tuples
-(:func:`alphabet_syndromes`).  The engine versions,
+is the XOR of one term per pair, read from the term table: runs, decoding
+and columns XOR one tuple's terms, and the audit walks the table once,
+pair by pair, for the codes of all 4^N tuples.  The engine versions,
 :func:`ghz_after_ops`, :func:`paired_bell_probability` on
 :func:`mxn_encoded_state` and every label's own walk, are what tests hold
 them to.
@@ -235,7 +239,6 @@ ANNOUNCED_SYMBOLS = {
     Protocol.OTP: ("0", "1"),
     Protocol.MXN: tuple(BellLabel),
 }
-_MXN_SYMBOLS = ANNOUNCED_SYMBOLS[Protocol.MXN]
 
 
 def nba_secrets(alice: BitsLike, bob: BitsLike) -> SecretAssignment:
@@ -283,7 +286,8 @@ class Transcript:
 
     announced: NBA -> (initial, final) Bell labels; JZ -> (initial, outcome)
     ket labels; MXN -> the N Bell labels in pair order; OTP -> the two
-    ciphertext bits as "0"/"1" strings.
+    ciphertext bits as "0"/"1" strings.  Symbols are stored as the
+    alphabet's own objects (:data:`ANNOUNCED_SYMBOLS`).
     """
 
     protocol: Protocol
@@ -291,11 +295,13 @@ class Transcript:
 
     def __post_init__(self):
         a = tuple(self.announced)
-        object.__setattr__(self, "announced", a)
         party_count(self.protocol, len(a), TranscriptError)
         symbols = ANNOUNCED_SYMBOLS[self.protocol]
-        if not all(x in symbols for x in a):
-            raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}")
+        try:
+            canonical = tuple([symbols[symbols.index(x)] for x in a])
+        except ValueError:
+            raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}") from None
+        object.__setattr__(self, "announced", canonical)
 
 
 @dataclass(frozen=True)
@@ -595,35 +601,40 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     n = party_count(Protocol.MXN, len(outcomes), TranscriptError)
     if any(not isinstance(label, BellLabel) for label in outcomes):
         raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    return {all_ghz_labels(n)[_label_code(outcomes)]}
+    return {all_ghz_labels(n)[_label_code(Protocol.MXN, outcomes)]}
 
 
 @functools.lru_cache(maxsize=None)
-def _label_terms(parties: int) -> tuple[tuple[int, ...], ...]:
-    """Each pair's share of the label code, one tuple per pair indexed like
-    :data:`ANNOUNCED_SYMBOLS`: the code of a tuple is the XOR of its
-    symbols' terms.  The code holds x then y_1..y_(N-1), most significant
-    first; a minus bit sets x, pair i >= 1's psi bit sets y_i, and pair 0's
-    psi bit flips every y bit, since y_i = psi_0 ^ psi_i."""
+def _label_terms(protocol: Protocol, parties: int) -> tuple[tuple, tuple[tuple[int, ...], ...]]:
+    """The protocol's alphabet and each position's terms, indexed like it:
+    the code of a tuple is the XOR of its symbols' terms.  A two-party
+    symbol's term is its index.  An mxn code holds x then y_1..y_(N-1),
+    most significant first; a minus bit sets x, pair i >= 1's psi bit sets
+    y_i, and pair 0's psi bit flips every y bit, since y_i = psi_0 ^ psi_i."""
+    symbols = ANNOUNCED_SYMBOLS[protocol]
+    if protocol is not Protocol.MXN:
+        return symbols, (tuple(range(len(symbols))),) * parties
     x_bit = 1 << (parties - 1)
     psi_terms = (x_bit - 1, *(x_bit >> pair for pair in range(1, parties)))
-    symbols = [_BELL_BITS[label] for label in _MXN_SYMBOLS]
-    return tuple(
-        tuple(psi * psi_term ^ minus * x_bit for psi, minus in symbols)
+    bits = [_BELL_BITS[label] for label in symbols]
+    return symbols, tuple(
+        tuple(psi * psi_term ^ minus * x_bit for psi, minus in bits)
         for psi_term in psi_terms
     )
 
 
-def _label_code(outcomes: Sequence[BellLabel]) -> int:
-    """:func:`deduce_ghz_from_bells`' label as its index in
-    :func:`~qdleak.qstate.all_ghz_labels`, the bits of x then y: the XOR of
-    the symbols' :func:`_label_terms`.  It skips the input checks: callers
-    pass a validated transcript's tuple."""
+def _label_code(protocol: Protocol, announced: Sequence) -> int:
+    """The code an announced tuple names, the XOR of its symbols'
+    :func:`_label_terms`: for mxn, :func:`deduce_ghz_from_bells`' label as
+    its index in :func:`~qdleak.qstate.all_ghz_labels`, the bits of x then
+    y.  It skips the input checks: callers pass a validated transcript's
+    tuple."""
+    symbols, terms = _label_terms(protocol, len(announced))
     code = 0
-    for terms, label in zip(_label_terms(len(outcomes)), outcomes):
+    for position, symbol in zip(terms, announced):
         # tuple.index compares by identity in C; a dict keyed by the label
         # would call Enum's Python-level __hash__
-        code ^= terms[_MXN_SYMBOLS.index(label)]
+        code ^= position[symbols.index(symbol)]
     return code
 
 
@@ -695,7 +706,7 @@ def _coset_decode(
     one assignment of the mxn transcript's coset whose ``party`` bits are
     ``own``."""
     announced = transcript.announced
-    coset = _cosets(Protocol.MXN, len(announced))[_label_code(announced)]
+    coset = _cosets(Protocol.MXN, len(announced))[_label_code(Protocol.MXN, announced)]
     candidates = [secrets.full_bits for secrets in coset]
     decoded = []
     for party, own in owns:
@@ -711,44 +722,38 @@ def _coset_decode(
 # --- transcript channels ------------------------------------------------
 
 
-def _public_syndrome(secrets: SecretAssignment) -> Bits | int:
-    """What every transcript of the assignment publishes: alice ^ bob, or
-    for mxn its GHZ label's index in :func:`~qdleak.qstate.all_ghz_labels`."""
+def _public_syndrome(secrets: SecretAssignment) -> int:
+    """The code every transcript of the assignment names: for nba the
+    final label from phi+, whose term is 0, for jz and otp alice ^ bob, for
+    mxn its GHZ label's index in :func:`~qdleak.qstate.all_ghz_labels`."""
     if secrets.protocol is Protocol.MXN:
         x, y = _label_bits(secrets)
         return functools.reduce(lambda code, bit: code << 1 | bit, y, x)
-    return _xor(secrets.alice, secrets.others[0])
+    alice, bob = secrets.alice, secrets.others[0]
+    if secrets.protocol is Protocol.NBA:
+        final = nba_final_label(alice, bob, BellLabel.PHI_PLUS)
+        return ANNOUNCED_SYMBOLS[Protocol.NBA].index(final)
+    return alice[0] ^ bob[0]
 
 
-def _named_syndrome(transcript: Transcript) -> tuple[Bits | int, float] | None:
-    """The public syndrome a transcript names, with P(announced | secrets)
-    for each assignment publishing it, averaged over the public choice a
-    run draws uniformly (initial Bell label, initial ket, key bit; none for
-    mxn); None for a jz outcome outside the preparation basis."""
-    protocol, announced = transcript.protocol, transcript.announced
-    if protocol is Protocol.NBA:
-        return _nba_public_xor(*announced), 0.25
-    if protocol is Protocol.JZ:
-        initial, outcome = announced
-        if outcome not in basis_labels_of(initial):
-            return None
-        return (int(initial != outcome),), 0.25
-    if protocol is Protocol.OTP:
-        cipher_a, cipher_b = map(int, announced)
-        return (cipher_a ^ cipher_b,), 0.5
-    return _label_code(announced), _tuple_probability(_check_mxn_parties(len(announced)))
+def _tuple_weight(protocol: Protocol, parties: int) -> float:
+    """P(announced | secrets) of a tuple for each assignment of its coset.
+    A two-party run draws its first symbol uniformly (the initial label or
+    ket, or by the key bit the first ciphertext) and the secrets fix the
+    rest; every mxn tuple has one engine number per party count."""
+    if protocol is Protocol.MXN:
+        return _tuple_probability(_check_mxn_parties(parties))
+    return 1 / len(ANNOUNCED_SYMBOLS[protocol])
 
 
 @functools.lru_cache(maxsize=None)
-def _cosets(
-    protocol: Protocol, parties: int
-) -> dict[Bits | int, tuple[SecretAssignment, ...]]:
+def _cosets(protocol: Protocol, parties: int) -> dict[int, tuple[SecretAssignment, ...]]:
     """public syndrome -> the assignments publishing it, in lexicographic
     order, built once, so columns and decoding hand out shared assignments.
     An mxn coset holds two assignments that differ in every bit except, for
     an even party count, party 0's second one, so each party's own bits
     separate them, which is what decoding relies on."""
-    table: dict[Bits | int, list[SecretAssignment]] = {}
+    table: dict[int, list[SecretAssignment]] = {}
     for secrets in all_secret_assignments(protocol, parties):
         table.setdefault(_public_syndrome(secrets), []).append(secrets)
     return {syndrome: tuple(coset) for syndrome, coset in table.items()}
@@ -756,38 +761,30 @@ def _cosets(
 
 def named_coset(
     transcript: Transcript,
-) -> tuple[Bits | int, tuple[SecretAssignment, ...], float] | None:
-    """The (syndrome, coset, weight) a transcript names: its public
-    syndrome, the shared assignments publishing it, and P(announced |
-    secrets) for each of them; None when no assignment produces it."""
-    named = _named_syndrome(transcript)
-    if named is None:
-        return None
-    syndrome, weight = named
-    return syndrome, _cosets(transcript.protocol, len(transcript.announced))[syndrome], weight
+) -> tuple[int, tuple[SecretAssignment, ...], float] | None:
+    """The (syndrome, coset, weight) a transcript names: its code, the
+    shared assignments publishing it, and P(announced | secrets) for each
+    of them; None when no assignment produces it."""
+    protocol, announced = transcript.protocol, transcript.announced
+    weight = _tuple_weight(protocol, len(announced))  # refuses mxn outside MXN_PARTIES
+    syndrome = _label_code(protocol, announced)
+    coset = _cosets(protocol, len(announced)).get(syndrome)
+    return None if coset is None else (syndrome, coset, weight)
 
 
-def alphabet_syndromes(
-    protocol: Protocol, parties: int | None = None
-) -> list[tuple[Bits | int, float] | None]:
-    """The (syndrome, weight) every tuple of the announced alphabet names,
-    or None where no assignment produces it, in ``itertools.product``
-    order: entry i is :func:`_named_syndrome` of the i-th tuple.  An mxn
-    code is the XOR of one :func:`_label_terms` term per pair, so the codes
-    of all 4^N tuples come from one walk of the term table, pair by pair;
-    the other protocols' 16 tuples at most are read one by one."""
+def alphabet_syndromes(protocol: Protocol, parties: int | None = None) -> list[int]:
+    """The code every tuple of the announced alphabet names, in
+    ``itertools.product`` order: entry i is :func:`_label_code` of the i-th
+    tuple.  A code is the XOR of one :func:`_label_terms` term per
+    position, so all codes come from one walk of the term table, position
+    by position."""
     n = party_count(protocol, parties)
     if protocol is Protocol.MXN:
-        weight = _tuple_probability(_check_mxn_parties(n))
-        codes = [0]
-        for terms in _label_terms(n):
-            codes = [code ^ term for code in codes for term in terms]
-        named = [(code, weight) for code in range(2**n)]  # shared by a label's tuples
-        return [named[code] for code in codes]
-    return [
-        _named_syndrome(Transcript(protocol, announced))
-        for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n)
-    ]
+        _check_mxn_parties(n)
+    codes = [0]
+    for terms in _label_terms(protocol, n)[1]:
+        codes = [code ^ term for code in codes for term in terms]
+    return codes
 
 
 def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:

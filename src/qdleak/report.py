@@ -21,7 +21,6 @@ from .protocols import (
     MXN_PARTIES,
     Protocol,
     RunRecord,
-    SecretAssignment,
     Transcript,
     bits_to_str,
     mxn_label,
@@ -51,30 +50,22 @@ def announced_text(transcript: Transcript) -> list[str]:
 def _symbol_texts(protocol: Protocol, render: Callable[[str], str]) -> dict[int, str]:
     """The texts of the protocol's announced alphabet passed through
     ``render``, keyed by each symbol's ``id``, so a renderer looks a symbol
-    up without hashing it.  A symbol that is equal to one of these but not
-    the same object, such as a str subclass, misses."""
+    up without hashing it: a transcript holds the alphabet's own objects."""
     return {id(s): render(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[protocol]}
 
 
-def _posterior_doc(
-    posterior: Posterior, rendered: dict[SecretAssignment, tuple[str, ...]]
-) -> list[dict[str, Any]]:
-    """The hypotheses as fresh dicts and lists; ``rendered`` keeps each
-    assignment's bit strings, so a document renders them once."""
-    doc = []
-    for assignment, prob in posterior.hypotheses:
-        texts = rendered.get(assignment)
-        if texts is None:
-            texts = rendered[assignment] = tuple(map(bits_to_str, assignment.full_bits))
-        doc.append({"secrets": list(texts), "prob": prob})
-    return doc
+def _posterior_doc(posterior: Posterior) -> list[dict[str, Any]]:
+    """The hypotheses as fresh dicts and lists."""
+    return [
+        {"secrets": [bits_to_str(bits) for bits in assignment.full_bits], "prob": prob}
+        for assignment, prob in posterior.hypotheses
+    ]
 
 
 def leakage_document(report: LeakageReport) -> dict[str, Any]:
     params: dict[str, Any] = {}
     if report.parties is not None:
         params["parties"] = report.parties
-    rendered: dict[SecretAssignment, tuple[str, ...]] = {}
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "leakage-report",
@@ -91,7 +82,7 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
                 "probability": entry.probability,
                 "entropy_bits": entry.entropy_bits,
                 "leaked_bits": entry.leaked_bits,
-                "posterior": _posterior_doc(entry.posterior, rendered),
+                "posterior": _posterior_doc(entry.posterior),
             }
             for entry in report.per_transcript
         ],
@@ -167,10 +158,7 @@ def leakage_json(report: LeakageReport) -> str:
         tail = tails.get(key)
         if tail is None:
             tail = tails[key] = _entry_tail(*parts)
-        try:
-            announced = [symbols[id(s)] for s in entry.transcript.announced]
-        except KeyError:  # an equal symbol that is not the alphabet's own object
-            announced = list(map(json.dumps, announced_text(entry.transcript)))
+        announced = [symbols[id(s)] for s in entry.transcript.announced]
         transcripts.append('{\n      "announced": ' + _json_block("[]", announced, 3) + tail)
     # "transcripts" sorts last, so the head ends in its empty array
     return head.removesuffix("[]\n}") + _json_block("[]", transcripts, 1) + "\n}"
@@ -357,10 +345,7 @@ def leakage_text(report: LeakageReport) -> str:
         suffix = suffixes.get(key)
         if suffix is None:
             suffix = suffixes[key] = "  p={}  entropy={}  leaked={}".format(*map(_f, numbers))
-        try:
-            announced = [symbols[id(s)] for s in entry.transcript.announced]
-        except KeyError:  # an equal symbol that is not the alphabet's own object
-            announced = announced_text(entry.transcript)
+        announced = [symbols[id(s)] for s in entry.transcript.announced]
         lines.append(f"  {' '.join(announced)}{suffix}")
     if report.protocol is Protocol.NBA:
         lines.append("")

@@ -2,13 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qdleak
 from qdleak.cli import main
 from qdleak.qstate import StateVector, ket
 from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA
@@ -231,3 +236,32 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(first, options):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+
+
+SRC = Path(qdleak.__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["-m", "qdleak", "analyze", "--protocol", "mxn", "--parties", "6"],
+        [str(SRC.parent / "scripts" / "leakage_audit.py"), "--json"],
+    ],
+    ids=["analyze", "leakage_audit"],
+)
+def test_closed_stdout_ends_quietly(argv):
+    """A reader that stops after one line, as ``| head -n 1`` does, ends the
+    command with exit 1 and nothing on stderr.  Both outputs (mxn N=6 text,
+    the audits' JSON) exceed a pipe buffer, so a write after the reader
+    closes always fails."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    with subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert first in (b"protocol: mxn\n", b"[\n")
+    assert (code, err.decode()) == (1, "")

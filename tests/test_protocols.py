@@ -19,7 +19,9 @@ from qdleak.protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _cosets,
     _label_code,
+    _tuple_weight,
     all_secret_assignments,
     alphabet_syndromes,
     as_bits,
@@ -214,6 +216,61 @@ def test_transcript_accepts_exactly_well_formed_announcements(drawn):
         assert transcript.announced == announced
 
 
+class _Symbol(str):
+    pass
+
+
+@pytest.mark.parametrize("make", [_Symbol, np.str_])
+def test_transcript_holds_the_alphabets_own_symbols(make):
+    """A symbol equal to one of the alphabet's but another object, a str
+    subclass or a numpy string, is stored as the alphabet's own object;
+    one equal to none is still refused."""
+    for protocol in (Protocol.JZ, Protocol.OTP):
+        alphabet = ANNOUNCED_SYMBOLS[protocol]
+        for symbol in alphabet:
+            passed = make(symbol)
+            assert passed is not symbol
+            announced = Transcript(protocol, (passed, passed)).announced
+            assert all(x is symbol for x in announced)
+        with pytest.raises(TranscriptError, match="bad"):
+            Transcript(protocol, (make("2"), alphabet[0]))
+
+
+def _runs(protocol):
+    """(secrets, transcript) of every run: nba and jz from every initial
+    label or ket, otp under both key bits, mxn at every count and seeds
+    0..2."""
+    if protocol is Protocol.NBA:
+        for secrets, initial in itertools.product(all_secret_assignments(protocol), BellLabel):
+            yield secrets, run_nba(secrets, initial).transcript
+    elif protocol is Protocol.JZ:
+        for secrets, initial in itertools.product(all_secret_assignments(protocol), KET_LABELS):
+            yield secrets, run_jz(secrets, initial).transcript
+    elif protocol is Protocol.OTP:
+        for secrets, key in itertools.product(all_secret_assignments(protocol), (0, 1)):
+            cipher = (str(secrets.alice[0] ^ key), str(secrets.others[0][0] ^ key))
+            yield secrets, Transcript(protocol, cipher)
+    else:
+        for n, seed in itertools.product(MXN_PARTIES, range(3)):
+            for secrets in all_secret_assignments(protocol, n):
+                yield secrets, run_mxn(secrets, make_rng(seed)).transcript
+
+
+@pytest.mark.parametrize(
+    "protocol, runs",
+    [(Protocol.NBA, 64), (Protocol.JZ, 16), (Protocol.OTP, 8), (Protocol.MXN, 3 * 240)],
+)
+def test_every_run_transcript_is_in_its_own_column(protocol, runs):
+    """The code a run's transcript names (the tuple side of the channel) is
+    the code its secrets publish (the assignment side): every run's
+    secrets are in its transcript's column."""
+    seen = 0
+    for secrets, transcript in _runs(protocol):
+        assert secrets in channel_column(transcript)
+        seen += 1
+    assert seen == runs
+
+
 @pytest.mark.parametrize(
     "protocol, parties",
     [
@@ -252,22 +309,36 @@ def test_channel_column_is_the_row_column(protocol, parties):
     ],
 )
 def test_alphabet_syndromes_are_the_named_cosets(protocol, parties):
-    """Entry i of the alphabet walk is the (syndrome, weight) the i-th
-    tuple of the alphabet names, with None at the same places."""
+    """Entry i of the alphabet walk is the code the i-th tuple of the
+    alphabet names: the syndrome of the coset it names, at the protocol's
+    weight, or a code with no coset where no assignment produces the tuple,
+    which happens only on jz's eight tuples leaving the preparation
+    basis."""
     tuples = list(itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=parties))
-    named = alphabet_syndromes(protocol, parties)
-    assert len(named) == len(tuples)
-    for announced, got in zip(tuples, named):
+    codes = alphabet_syndromes(protocol, parties)
+    cosets = _cosets(protocol, parties)
+    weight = _tuple_weight(protocol, parties)
+    assert len(codes) == len(tuples)
+    unnamed = []
+    for announced, code in zip(tuples, codes):
         want = named_coset(Transcript(protocol, announced))
-        assert got == (None if want is None else (want[0], want[2]))
-    assert (None in named) is (protocol is Protocol.JZ)
+        if want is None:
+            assert code not in cosets
+            unnamed.append(announced)
+        else:
+            assert want == (code, cosets[code], weight)
+    if protocol is Protocol.JZ:
+        assert len(unnamed) == 8
+        assert all(outcome not in basis_labels_of(initial) for initial, outcome in unnamed)
+    else:
+        assert unnamed == []
 
 
 @pytest.mark.parametrize("parties", range(2, 7))
 def test_label_code_is_the_bitwise_formula(parties):
     """The XOR of the term table's terms is the label read bit by bit."""
     for outcomes in itertools.product(BellLabel, repeat=parties):
-        assert _label_code(outcomes) == label_code(outcomes)
+        assert _label_code(Protocol.MXN, outcomes) == label_code(outcomes)
 
 
 # --- coding alphabets --------------------------------------------------

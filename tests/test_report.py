@@ -95,8 +95,8 @@ def test_leakage_document_entropy_recomputes_from_posterior():
 
 
 def test_leakage_document_entries_share_no_containers():
-    """Bit strings are rendered once per assignment, but every hypothesis
-    gets its own list, so editing one entry leaves the others alone."""
+    """Every hypothesis gets its own dict and list, even where entries
+    share a posterior, so editing one entry leaves the others alone."""
     doc = leakage_document(leakage_report(Protocol.MXN, 3))
     hypotheses = [h for t in doc["transcripts"] for h in t["posterior"]]
     assert len({id(h) for h in hypotheses}) == len(hypotheses)
@@ -153,7 +153,8 @@ def test_leakage_json_renders_equal_but_distinct_posteriors():
 
 
 class Symbol(str):
-    """A str subclass: equal to an alphabet symbol, never the same object."""
+    """A str subclass: equal to an alphabet symbol but another object, which
+    a Transcript replaces by the alphabet's own."""
 
 
 def _hand_built_reports():
