@@ -51,7 +51,7 @@ def print_audit(as_json: bool) -> None:
     print(header)
     print("-" * len(header))
     for rep in audit_rows():
-        entropies = {round(e.entropy_bits, 9) for e in rep.per_transcript}
+        entropies = {round(c.entropy_bits, 9) for c in rep.cosets}
         shown = f"{entropies.pop():.3f}" if len(entropies) == 1 else "varies"
         print(
             f"{rep.protocol.text:<10}"
@@ -59,7 +59,7 @@ def print_audit(as_json: bool) -> None:
             f"{rep.total_bits:>7}"
             f"{rep.secure_bits:>9.3f}"
             f"{rep.leaked_bits:>9.3f}"
-            f"{len(rep.per_transcript):>13}"
+            f"{len(rep.entries):>13}"
             f"{shown:>11}"
         )
 

@@ -57,6 +57,7 @@ from .protocols import (
     run_nba,
 )
 from .leakage import (
+    CosetLeakage,
     LeakageReport,
     Posterior,
     TranscriptLeakage,
@@ -74,6 +75,7 @@ __all__ = [
     "ATOL",
     "BellLabel",
     "BellOutcome",
+    "CosetLeakage",
     "GhzLabel",
     "LeakageReport",
     "PauliOp",

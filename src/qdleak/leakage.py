@@ -7,12 +7,13 @@ assignments that could have produced the announced transcript, weighted by
 the probability of producing it.  That probability, P(announced | secrets),
 is each protocol's transcript channel, read one column at a time from
 :mod:`qdleak.protocols` (:func:`~qdleak.protocols.channel_column`): a
-single transcript's posterior is its column, normalized.  An audit walks
-every tuple of the announced alphabet, but a tuple's column depends only on
-the public syndrome it names, so the audit computes one posterior per coset
-(2^N for mxn, 4 for nba, 2 for jz and otp) and shares it across that
-coset's transcripts.  Nothing here depends on how a protocol produces its
-announcements.  Leakage is quantified in bits:
+single transcript's posterior is its column, normalized.  A tuple's column
+depends only on the public syndrome it names, so an audit is a coset
+table: one posterior per coset of assignments that publish the same
+syndrome (2^N for mxn, 4 for nba, 2 for jz and otp), and one entry per
+tuple of the announced alphabet that names the coset it belongs to.
+Nothing here depends on how a protocol produces its announcements.
+Leakage is quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
 
@@ -56,6 +57,8 @@ def shannon_entropy(probabilities: Iterable[float]) -> float:
     p = np.asarray(list(probabilities), dtype=float)
     if p.size == 0:
         raise ValueError("empty distribution")
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite probability")
     if np.any(p < -1e-12):
         raise ValueError("negative probability")
     if abs(float(p.sum()) - 1.0) > 1e-9:
@@ -174,56 +177,104 @@ class TranscriptLeakage:
 
 
 @dataclass(frozen=True)
+class CosetLeakage:
+    """Leakage numbers for one coset: the probability that a transcript
+    names it, and the posterior every such transcript leaves."""
+
+    probability: float
+    posterior: Posterior
+    entropy_bits: float
+    leaked_bits: float
+
+
+@dataclass(frozen=True)
 class LeakageReport:
-    """Full audit of a protocol: every reachable transcript with its
-    probability and posterior, plus ensemble totals in bits."""
+    """Full audit of a protocol as a coset table, plus ensemble totals in
+    bits.
+
+    ``cosets`` holds each coset's numbers once.  ``entries`` lists every
+    reachable transcript, in audit order, as (its symbols' indices into
+    :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS`, the index of the coset it
+    names); the constructor refuses an entry that is not such a pair, and a
+    party count the protocol does not take.
+    ``per_transcript`` spells the entries out one validated
+    :class:`~qdleak.protocols.Transcript` each."""
 
     protocol: Protocol
     parties: int | None
     total_bits: int
     secure_bits: float
     leaked_bits: float
-    per_transcript: tuple[TranscriptLeakage, ...]
+    cosets: tuple[CosetLeakage, ...]
+    entries: tuple[tuple[tuple[int, ...], int], ...]
+
+    def __post_init__(self):
+        width = party_count(self.protocol, self.parties)
+        symbols = len(ANNOUNCED_SYMBOLS[self.protocol])
+        # set inclusion also refuses negative indices, which would
+        # otherwise count from the end
+        if not (
+            {len(indices) for indices, _ in self.entries} <= {width}
+            and set(itertools.chain.from_iterable(i for i, _ in self.entries))
+            <= set(range(symbols))
+            and {coset for _, coset in self.entries} <= set(range(len(self.cosets)))
+        ):
+            raise ValueError(
+                f"{self.protocol.text} report entries need {width} symbol indices"
+                f" in 0..{symbols - 1} and a coset index in 0..{len(self.cosets) - 1}"
+            )
+
+    @property
+    def per_transcript(self) -> tuple[TranscriptLeakage, ...]:
+        """Every entry with its own transcript and its coset's numbers."""
+        symbols = ANNOUNCED_SYMBOLS[self.protocol]
+        return tuple(
+            TranscriptLeakage(
+                Transcript(self.protocol, tuple(symbols[i] for i in indices)),
+                c.probability,
+                c.posterior,
+                c.entropy_bits,
+                c.leaked_bits,
+            )
+            for indices, coset in self.entries
+            for c in (self.cosets[coset],)
+        )
 
 
 def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageReport:
     """Enumerate every reachable transcript (exactly, no sampling) under
     uniform secrets (and uniform initial state / key where one exists) and
-    audit each one's posterior.
+    audit each coset's posterior.
 
-    Transcripts come in the order of their symbols' texts: one tuple of
-    :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` each, skipping the tuples
+    The report's cosets follow the keys of
+    :func:`~qdleak.protocols._cosets`, each with its probability, posterior
+    and entropy computed once.  Its entries follow the tuples of
+    :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` in ``itertools.product``
+    order, which is the order of the symbols' texts, skipping the tuples
     whose code names no coset.  The codes of all tuples come from one call
-    (:func:`~qdleak.protocols.alphabet_syndromes`), the weight and the coset
-    table are read once, and each coset's probability, posterior and
-    entropy are computed once, the first time a tuple names it, and shared
-    by every entry of that coset; per tuple there is only a validated
-    :class:`~qdleak.protocols.Transcript` and its entry.  An mxn audit
-    refuses a party count outside :data:`~qdleak.protocols.MXN_PARTIES`."""
+    (:func:`~qdleak.protocols.alphabet_syndromes`); per tuple there is only
+    its entry, with no :class:`~qdleak.protocols.Transcript`.  An mxn
+    audit refuses a party count outside
+    :data:`~qdleak.protocols.MXN_PARTIES`."""
     n = party_count(protocol, parties)
     total = total_secret_bits(protocol, n)
     prior = 1.0 / 2**total
     codes = alphabet_syndromes(protocol, n)
     weight = _tuple_weight(protocol, n)
-    cosets = _cosets(protocol, n)
-    # code -> (probability, posterior, entropy, leaked), one per coset:
-    # a code names one coset, and Posterior is frozen.
-    audits: dict[int, tuple[float, Posterior, float, float]] = {}
-    entries = []
-    tuples = itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=n)
-    for announced, code in zip(tuples, codes):
-        if code not in cosets:
-            continue
-        audit = audits.get(code)
-        if audit is None:
-            weights = dict.fromkeys(cosets[code], weight)
-            posterior = Posterior.from_weights(weights.items())
-            entropy = shannon_entropy(posterior.probabilities)
-            audit = audits[code] = (
-                prior * sum(weights.values()), posterior, entropy, total - entropy
-            )
-        entries.append(TranscriptLeakage(Transcript(protocol, announced), *audit))
-    secure = sum(e.probability * e.entropy_bits for e in entries)
+    table = _cosets(protocol, n)
+    cosets = []
+    for coset in table.values():
+        weights = dict.fromkeys(coset, weight)
+        posterior = Posterior.from_weights(weights.items())
+        entropy = shannon_entropy(posterior.probabilities)
+        cosets.append(
+            CosetLeakage(prior * sum(weights.values()), posterior, entropy, total - entropy)
+        )
+    index = {code: k for k, code in enumerate(table)}
+    tuples = itertools.product(range(len(ANNOUNCED_SYMBOLS[protocol])), repeat=n)
+    entries = tuple((t, index[code]) for t, code in zip(tuples, codes) if code in index)
+    terms = [c.probability * c.entropy_bits for c in cosets]
+    secure = sum(terms[k] for _, k in entries)
     return LeakageReport(
         protocol=protocol,
         # a two-party protocol's report carries no count
@@ -231,5 +282,6 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
         total_bits=total,
         secure_bits=secure,
         leaked_bits=total - secure,
-        per_transcript=tuple(entries),
+        cosets=tuple(cosets),
+        entries=entries,
     )

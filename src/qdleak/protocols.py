@@ -126,6 +126,11 @@ class Protocol(Enum):
     MXN = "mxn"
     OTP = "otp"
 
+    # Members compare by identity, so the identity hash agrees with ==;
+    # it runs in C, where Enum's hash(self._name_) is a Python call on
+    # every Protocol-keyed lookup.
+    __hash__ = object.__hash__
+
     @property
     def text(self) -> str:
         return self.value

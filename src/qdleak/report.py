@@ -13,9 +13,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
-from .leakage import LeakageReport, Posterior
+from .leakage import CosetLeakage, LeakageReport, Posterior
 from .protocols import (
     ANNOUNCED_SYMBOLS,
     MXN_PARTIES,
@@ -45,13 +45,6 @@ _BELL_TEXTS = {label: label.text for label in BellLabel}
 
 def announced_text(transcript: Transcript) -> list[str]:
     return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
-
-
-def _symbol_texts(protocol: Protocol, render: Callable[[str], str]) -> dict[int, str]:
-    """The texts of the protocol's announced alphabet passed through
-    ``render``, keyed by each symbol's ``id``, so a renderer looks a symbol
-    up without hashing it: a transcript holds the alphabet's own objects."""
-    return {id(s): render(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[protocol]}
 
 
 def _posterior_doc(posterior: Posterior) -> list[dict[str, Any]]:
@@ -121,45 +114,39 @@ def _posterior_json(posterior: Posterior) -> str:
     return _json_block("[]", hypotheses, 3)
 
 
-def _entry_tail(
-    entropy_bits: float, leaked_bits: float, posterior: Posterior, probability: float
-) -> str:
-    """A transcript entry's JSON after its "announced" block, which sorts
-    first: the other fields in sorted key order, as sort_keys writes them,
-    and the closing brace."""
+def _entry_tail(coset: CosetLeakage) -> str:
+    """The JSON of a transcript entry naming the coset, after its
+    "announced" block, which sorts first: the other fields in sorted key
+    order, as sort_keys writes them, and the closing brace."""
     fields = [
         "",  # the announced field's place; the tail starts at the comma after it
-        f'"entropy_bits": {_json_number(entropy_bits)}',
-        f'"leaked_bits": {_json_number(leaked_bits)}',
-        f'"posterior": {_posterior_json(posterior)}',
-        f'"probability": {_json_number(probability)}',
+        f'"entropy_bits": {_json_number(coset.entropy_bits)}',
+        f'"leaked_bits": {_json_number(coset.leaked_bits)}',
+        f'"posterior": {_posterior_json(coset.posterior)}',
+        f'"probability": {_json_number(coset.probability)}',
     ]
     return _json_block("{}", fields, 2).removeprefix("{\n      ")
 
 
 def leakage_json(report: LeakageReport) -> str:
     """``json.dumps(leakage_document(report), indent=2, sort_keys=True)``,
-    byte for byte, in one pass over the report: the head is json.dumps of
-    the head fields, and each transcript is laid out directly.  Per call,
-    each symbol of the announced alphabet is rendered once, and each
-    entry's tail (:func:`_entry_tail`) once per identity of its entropy,
-    leaked bits, posterior and probability, which the entries of one coset
-    share: an audit renders one tail per coset, and per entry only its
-    announced block."""
+    byte for byte, in one pass over the report's coset table: the head is
+    json.dumps of the head fields, and each transcript is laid out
+    directly.  Per call, each symbol of the announced alphabet is rendered
+    once and each coset's entry tail (:func:`_entry_tail`) once; per entry
+    only its announced block is, from its symbol indices, and its coset
+    index picks its tail."""
     head = json.dumps(
-        leakage_document(replace(report, per_transcript=())), indent=2, sort_keys=True
+        leakage_document(replace(report, entries=())), indent=2, sort_keys=True
     )
-    symbols = _symbol_texts(report.protocol, json.dumps)
-    tails: dict[tuple[int, ...], str] = {}
-    transcripts = []
-    for entry in report.per_transcript:
-        parts = (entry.entropy_bits, entry.leaked_bits, entry.posterior, entry.probability)
-        key = tuple(map(id, parts))
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = _entry_tail(*parts)
-        announced = [symbols[id(s)] for s in entry.transcript.announced]
-        transcripts.append('{\n      "announced": ' + _json_block("[]", announced, 3) + tail)
+    symbols = [json.dumps(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[report.protocol]]
+    tails = [_entry_tail(coset) for coset in report.cosets]
+    transcripts = [
+        '{\n      "announced": '
+        + _json_block("[]", [symbols[i] for i in indices], 3)
+        + tails[coset]
+        for indices, coset in report.entries
+    ]
     # "transcripts" sorts last, so the head ends in its empty array
     return head.removesuffix("[]\n}") + _json_block("[]", transcripts, 1) + "\n}"
 
@@ -334,19 +321,14 @@ def leakage_text(report: LeakageReport) -> str:
     lines.append(f"total_bits: {report.total_bits}")
     lines.append(f"secure_bits: {_f(report.secure_bits)}")
     lines.append(f"leaked_bits: {_f(report.leaked_bits)}")
-    lines.append(f"transcripts ({len(report.per_transcript)}):")
-    symbols = _symbol_texts(report.protocol, str)
-    # Keyed by the identity of an entry's numbers, which the entries of one
-    # coset share, so each posterior's suffix is rendered once.
-    suffixes: dict[tuple[int, ...], str] = {}
-    for entry in report.per_transcript:
-        numbers = (entry.probability, entry.entropy_bits, entry.leaked_bits)
-        key = tuple(map(id, numbers))
-        suffix = suffixes.get(key)
-        if suffix is None:
-            suffix = suffixes[key] = "  p={}  entropy={}  leaked={}".format(*map(_f, numbers))
-        announced = [symbols[id(s)] for s in entry.transcript.announced]
-        lines.append(f"  {' '.join(announced)}{suffix}")
+    lines.append(f"transcripts ({len(report.entries)}):")
+    symbols = [_BELL_TEXTS.get(s, s) for s in ANNOUNCED_SYMBOLS[report.protocol]]
+    suffixes = [
+        f"  p={_f(c.probability)}  entropy={_f(c.entropy_bits)}  leaked={_f(c.leaked_bits)}"
+        for c in report.cosets
+    ]
+    for indices, coset in report.entries:
+        lines.append(f"  {' '.join([symbols[i] for i in indices])}{suffixes[coset]}")
     if report.protocol is Protocol.NBA:
         lines.append("")
         lines.append(operation_table_text())

@@ -4,9 +4,10 @@ A row is the whole distribution P(announced | secrets) of one assignment,
 averaged over the public choice a run draws uniformly (initial Bell label,
 initial ket, key bit; none for mxn).  ``reference_leakage_report`` is the
 audit built from all 2^(N+1) rows at once: a likelihood table keyed by
-announced tuple, sorted by the symbols' texts.  Tests hold
-``qdleak.protocols.channel_column`` and ``qdleak.leakage.leakage_report``,
-which read one column per announced tuple, to these.
+announced tuple, sorted by the symbols' texts, with one entry per
+transcript.  Tests hold ``qdleak.protocols.channel_column`` and
+``qdleak.leakage.leakage_report``, which read one column per announced
+tuple and one posterior per coset, to these.
 
 An mxn row is the engine walk of its GHZ label (``_label_row``).
 ``exact_mxn_law`` is a second, independent reference for it: the same law
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdleak.leakage import LeakageReport, Posterior, TranscriptLeakage
+from qdleak.leakage import Posterior, TranscriptLeakage
 from qdleak.protocols import (
     Protocol,
     SecretAssignment,
@@ -142,8 +143,9 @@ def _announced_sort_key(announced: tuple):
 
 def reference_leakage_report(
     protocol: Protocol, parties: int | None = None
-) -> LeakageReport:
-    """The audit from every row: a likelihood table, sorted."""
+) -> tuple[tuple[TranscriptLeakage, ...], tuple[int, float, float]]:
+    """The audit from every row, a likelihood table, sorted: one entry
+    per transcript, and the total, secure and leaked bits."""
     if protocol is Protocol.MXN:
         _check_mxn_parties(parties)
     elif parties not in (None, 2):
@@ -176,11 +178,4 @@ def reference_leakage_report(
             )
         )
     secure = sum(e.probability * e.entropy_bits for e in entries)
-    return LeakageReport(
-        protocol=protocol,
-        parties=parties,
-        total_bits=total,
-        secure_bits=secure,
-        leaked_bits=total - secure,
-        per_transcript=tuple(entries),
-    )
+    return tuple(entries), (total, secure, total - secure)

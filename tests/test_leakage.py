@@ -6,6 +6,7 @@ can produce that transcript.  Tests check it exhaustively per protocol
 rather than trusting the report pipeline.
 """
 
+import dataclasses
 import itertools
 import math
 
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from qdleak import leakage, protocols
 from qdleak.leakage import (
-    LeakageReport,
     Posterior,
+    TranscriptLeakage,
     eve_posterior,
     jz_otp_equivalence,
     leakage_report,
@@ -32,6 +33,7 @@ from qdleak.protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _cosets,
     all_secret_assignments,
     alphabet_syndromes,
     channel_column,
@@ -126,6 +128,22 @@ def test_posterior_refuses_negative_and_non_finite_weights(bad):
     a, b = all_secret_assignments(Protocol.JZ)[:2]
     with pytest.raises(TranscriptError):
         Posterior.from_weights([(a, 1.0), (b, bad)])
+
+
+@pytest.mark.parametrize(
+    "bad", [[math.nan], [math.nan, 1.0], [math.inf], [0.5, 0.5, -math.inf]]
+)
+def test_shannon_entropy_refuses_non_finite_entries(bad):
+    """A NaN passes both the negativity and the sum check, so it is refused
+    on its own, as is an infinity."""
+    with pytest.raises(ValueError, match="non-finite probability"):
+        shannon_entropy(bad)
+
+
+def test_posterior_entropy_refuses_nan():
+    a = all_secret_assignments(Protocol.JZ)[0]
+    with pytest.raises(ValueError, match="non-finite probability"):
+        Posterior(((a, math.nan),)).entropy_bits
 
 
 # --- NBA ---------------------------------------------------------------
@@ -377,24 +395,20 @@ def test_leakage_report_matches_the_coset_oracle(protocol, parties):
     ],
 )
 def test_leakage_report_is_the_row_table_audit(protocol, parties):
-    """Column by column, the report equals the audit built from every row
-    at once, float for float and in the same transcript order."""
+    """Coset by coset, the report's per-transcript view equals the audit
+    built from every row at once, float for float and in the same
+    transcript order, and so do its totals."""
     report = leakage_report(protocol, parties)
-    want = reference_leakage_report(protocol, parties)
-    assert [e.transcript for e in report.per_transcript] == [
-        e.transcript for e in want.per_transcript
-    ]
-    for got, expected in zip(report.per_transcript, want.per_transcript):
+    want, totals = reference_leakage_report(protocol, parties)
+    entries = report.per_transcript
+    assert [e.transcript for e in entries] == [e.transcript for e in want]
+    for got, expected in zip(entries, want):
         assert got.probability == expected.probability
         assert got.entropy_bits == expected.entropy_bits
         assert got.leaked_bits == expected.leaked_bits
         assert got.posterior.hypotheses == expected.posterior.hypotheses
-    assert (report.total_bits, report.secure_bits, report.leaked_bits) == (
-        want.total_bits,
-        want.secure_bits,
-        want.leaked_bits,
-    )
-    assert report == want
+    assert (report.total_bits, report.secure_bits, report.leaked_bits) == totals
+    assert entries == want
 
 
 @pytest.mark.parametrize(
@@ -423,9 +437,85 @@ def test_leakage_report_builds_one_posterior_per_coset(monkeypatch, protocol, pa
     monkeypatch.setattr(Posterior, "from_weights", classmethod(counting_from_weights))
     monkeypatch.setattr(leakage, "shannon_entropy", counting_entropy)
     report = leakage_report(protocol, parties)
+    assert len(report.cosets) == cosets
     assert len({id(e.posterior) for e in report.per_transcript}) == cosets
     assert len(built) == len(measured) == cosets
-    assert len(report.per_transcript) > cosets
+    assert len(report.entries) > cosets
+
+
+_AUDITS = [
+    (Protocol.NBA, None),
+    (Protocol.JZ, None),
+    (Protocol.OTP, None),
+    *((Protocol.MXN, n) for n in MXN_PARTIES),
+]
+
+
+@pytest.mark.parametrize("protocol, parties", _AUDITS)
+def test_report_cosets_are_the_coset_table(protocol, parties):
+    """Coset k of a report is the posterior of the k-th key of ``_cosets``,
+    every coset is named by some entry, and each entry's transcript has its
+    coset's posterior as its own column's."""
+    report = leakage_report(protocol, parties)
+    table = _cosets(protocol, parties or 2)
+    assert len(report.cosets) == len(table)
+    for audit, coset in zip(report.cosets, table.values()):
+        assert audit.posterior == Posterior.from_weights((s, 1.0) for s in coset)
+    assert {k for _, k in report.entries} == set(range(len(table)))
+    for entry, (_, k) in zip(report.per_transcript, report.entries):
+        assert eve_posterior(entry.transcript) == report.cosets[k].posterior
+
+
+def test_leakage_report_builds_no_transcript(monkeypatch):
+    """An audit names each entry's symbols by index: it validates no
+    Transcript and builds no TranscriptLeakage, which only the
+    per_transcript view does."""
+    built = []
+    post_init, init = Transcript.__post_init__, TranscriptLeakage.__init__
+
+    def counting_post_init(self):
+        built.append("transcript")
+        post_init(self)
+
+    def counting_init(self, *args):
+        built.append("entry")
+        init(self, *args)
+
+    monkeypatch.setattr(Transcript, "__post_init__", counting_post_init)
+    monkeypatch.setattr(TranscriptLeakage, "__init__", counting_init)
+    report = leakage_report(Protocol.MXN, 6)
+    assert built == []
+    report.per_transcript
+    assert built.count("transcript") == built.count("entry") == len(report.entries) == 4**6
+
+
+@pytest.mark.parametrize(
+    "protocol, parties, entries",
+    [
+        (Protocol.OTP, None, (((0,), 0),)),
+        (Protocol.OTP, None, (((0, 1, 1), 0),)),
+        (Protocol.OTP, None, (((0, 2), 0),)),
+        (Protocol.OTP, None, (((-1, 0), 0),)),
+        (Protocol.OTP, None, (((0, 1), 2),)),
+        (Protocol.OTP, None, (((0, 1), -1),)),
+        (Protocol.OTP, None, (((0, 1), 0), ((1, 1), -2))),
+        (Protocol.MXN, 3, (((0, 1), 0),)),
+    ],
+)
+def test_report_refuses_malformed_entries(protocol, parties, entries):
+    """Each entry needs one symbol index per party and a coset index, all
+    in range: a negative index would silently count from the end."""
+    report = leakage_report(protocol, parties)
+    need = f"{protocol.text} report entries need {parties or 2} symbol indices"
+    with pytest.raises(ValueError, match=need):
+        dataclasses.replace(report, entries=entries)
+
+
+@pytest.mark.parametrize("protocol, parties", [(Protocol.NBA, 5), (Protocol.MXN, None)])
+def test_report_refuses_a_party_count_its_protocol_does_not_take(protocol, parties):
+    report = leakage_report(protocol, 3 if protocol is Protocol.MXN else None)
+    with pytest.raises(ValueError, match="parties"):
+        dataclasses.replace(report, parties=parties, entries=())
 
 
 def test_two_party_paths_build_no_state_vector(monkeypatch):

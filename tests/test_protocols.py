@@ -334,6 +334,51 @@ def test_alphabet_syndromes_are_the_named_cosets(protocol, parties):
         assert unnamed == []
 
 
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [
+        (Protocol.NBA, 2),
+        (Protocol.JZ, 2),
+        (Protocol.OTP, 2),
+        (Protocol.MXN, 3),
+        (Protocol.MXN, 4),
+        (Protocol.MXN, 5),
+        (Protocol.MXN, 6),
+    ],
+)
+def test_cosets_list_their_assignments_in_lexicographic_order(protocol, parties):
+    """The cosets partition the assignments, and each one is a subsequence
+    of ``all_secret_assignments``: a column lists its coset in that
+    order."""
+    assignments = all_secret_assignments(protocol, parties)
+    positions = [
+        [assignments.index(s) for s in coset]
+        for coset in _cosets(protocol, parties).values()
+    ]
+    for coset in positions:
+        assert coset == sorted(coset)
+    assert sorted(itertools.chain.from_iterable(positions)) == list(range(len(assignments)))
+
+
+@pytest.mark.parametrize("protocol", list(Protocol))
+def test_protocol_hashes_by_identity(protocol):
+    """Members are singletons compared by identity, so the C-level identity
+    hash agrees with ==: a member parsed from its text is the member, hashes
+    alike, and finds the cached tables keyed by it."""
+    assert Protocol.__hash__ is object.__hash__
+    parsed = Protocol(protocol.text)
+    assert parsed is protocol
+    assert hash(parsed) == hash(protocol)
+    for other in Protocol:
+        assert (other == protocol) == (other is protocol)
+        assert (hash(other) == hash(protocol)) == (other is protocol)
+    parties = 3 if protocol is Protocol.MXN else 2
+    table = _cosets(protocol, parties)
+    hits = _cosets.cache_info().hits
+    assert _cosets(parsed, parties) is table
+    assert _cosets.cache_info().hits == hits + 1
+
+
 @pytest.mark.parametrize("parties", range(2, 7))
 def test_label_code_is_the_bitwise_formula(parties):
     """The XOR of the term table's terms is the label read bit by bit."""

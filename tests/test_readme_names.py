@@ -1,6 +1,7 @@
 """The README's "Library" section names library code; every identifier it
 puts in backticks must exist, or the section describes code that is gone."""
 
+import builtins
 import importlib
 import re
 from pathlib import Path
@@ -17,15 +18,25 @@ def library_identifiers() -> set[str]:
     section = text.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
     section = re.sub(r"```.*?```", "", section, flags=re.S)
     spans = re.findall(r"`([^`]+)`", section)
-    return {s for s in spans if "_" in s and re.fullmatch(r"[A-Za-z_][\w.]*", s)}
+    return {
+        s
+        for s in spans
+        if re.fullmatch(r"[A-Za-z_][\w.]*", s)
+        # a name with an underscore, or a CamelCase name of two words or more
+        and ("_" in s or re.fullmatch(r"(?:[A-Z][a-z0-9]+){2,}", s))
+    }
 
 
 def resolves(name: str) -> bool:
-    attr = name.rpartition(".")[2]  # a dotted name resolves by its last part
-    return any(hasattr(importlib.import_module(m), attr) for m in MODULES)
+    # a dotted name resolves by its last part, in a module or in the class
+    # or module its owner names
+    *owner, attr = name.split(".")
+    modules = (builtins, *map(importlib.import_module, MODULES))
+    owners = [getattr(m, owner[-1]) for m in modules if owner and hasattr(m, owner[-1])]
+    return any(hasattr(x, attr) for x in (*modules, *owners))
 
 
 def test_library_section_names_resolve():
     names = library_identifiers()
-    assert {"channel_column", "MXN_PARTIES"} <= names
+    assert {"channel_column", "MXN_PARTIES", "CosetLeakage"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []

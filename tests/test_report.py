@@ -9,15 +9,14 @@ import jsonschema
 import pytest
 
 from qdleak.leakage import (
+    CosetLeakage,
     LeakageReport,
     Posterior,
-    TranscriptLeakage,
     leakage_report,
     shannon_entropy,
 )
 from qdleak.protocols import (
     Protocol,
-    Transcript,
     all_secret_assignments,
     jz_secrets,
     mxn_secrets,
@@ -136,45 +135,24 @@ def test_leakage_json_is_the_dumped_document(protocol, parties):
     jsonschema.validate(json.loads(text), LEAKAGE_SCHEMA)
 
 
-def test_leakage_json_renders_equal_but_distinct_posteriors():
-    """Every entry gets its own copy of another coset's posterior: the
-    identity memo must neither merge the copies nor keep the old pairing."""
-    report = leakage_report(Protocol.MXN, 3)
-    entries = report.per_transcript
-    shuffled = tuple(
-        dataclasses.replace(e, posterior=dataclasses.replace(entries[-1 - i].posterior))
-        for i, e in enumerate(entries)
-    )
-    assert shuffled[0].posterior == entries[-1].posterior
-    assert shuffled[0].posterior is not entries[-1].posterior
-    changed = dataclasses.replace(report, per_transcript=shuffled)
-    assert_same_text(leakage_json(changed), dumped(changed))
-    assert leakage_json(changed) != leakage_json(report)
-
-
-class Symbol(str):
-    """A str subclass: equal to an alphabet symbol but another object, which
-    a Transcript replaces by the alphabet's own."""
-
-
 def _hand_built_reports():
     a, b, c, _ = all_secret_assignments(Protocol.OTP)
     shared = Posterior(((a, 0.5), (b, 0.5)))
-    entry = TranscriptLeakage(Transcript(Protocol.OTP, ("0", "1")), 0.5, shared, 1.0, 1.0)
+    coset = CosetLeakage(0.5, shared, 1.0, 1.0)
     odd = Posterior(((a, math.nan), (c, math.inf)))
-    non_finite = (
-        TranscriptLeakage(Transcript(Protocol.OTP, ("1", "1")), math.inf, odd, -0.0, math.nan),
-        dataclasses.replace(entry, probability=1e-300, posterior=odd),
-    )
-    foreign = (
-        dataclasses.replace(entry, transcript=Transcript(Protocol.OTP, (Symbol("1"), "0"))),
-        entry,
-    )
+    non_finite = (CosetLeakage(math.inf, odd, -0.0, math.nan), CosetLeakage(1e-300, odd, 1.0, 1.0))
+    twin = CosetLeakage(0.25, dataclasses.replace(shared), 1.5, 0.5)
+    assert twin.posterior == shared and twin.posterior is not shared
+
+    def otp(secure, leaked, cosets, entries):
+        return LeakageReport(Protocol.OTP, None, 2, secure, leaked, cosets, entries)
+
     return {
-        "no params": LeakageReport(Protocol.OTP, None, 2, 1.0, 1.0, (entry, entry)),
-        "non-finite": LeakageReport(Protocol.OTP, None, 2, math.nan, -math.inf, non_finite),
-        "no transcripts": LeakageReport(Protocol.OTP, None, 2, 0.0, 2.0, ()),
-        "equal symbols": LeakageReport(Protocol.OTP, None, 2, 1.0, 1.0, foreign),
+        "no params": otp(1.0, 1.0, (coset,), (((0, 1), 0), ((0, 1), 0))),
+        "non-finite": otp(math.nan, -math.inf, non_finite, (((1, 1), 0), ((0, 1), 1))),
+        "no transcripts": otp(0.0, 2.0, (coset,), ()),
+        "equal posteriors": otp(1.0, 1.0, (coset, twin), (((0, 0), 1), ((0, 1), 0))),
+        "out of order": otp(1.0, 1.0, (coset, twin), (((1, 0), 1), ((0, 0), 0), ((1, 1), 1))),
     }
 
 
@@ -184,7 +162,8 @@ def _hand_built_reports():
         ("no params", '\n  "params": {},\n'),
         ("non-finite", '"probability": Infinity\n'),
         ("no transcripts", '"transcripts": []\n}'),
-        ("equal symbols", '"announced": [\n        "1",\n        "0"\n      ]'),
+        ("equal posteriors", '"entropy_bits": 1.5,\n'),
+        ("out of order", '        "0"\n      ],\n      "entropy_bits": 1.5,\n'),
     ],
 )
 def test_leakage_json_of_hand_built_reports(name, fragment):
@@ -194,32 +173,9 @@ def test_leakage_json_of_hand_built_reports(name, fragment):
     assert fragment in text
 
 
-def _own_numbers_report() -> LeakageReport:
-    """An mxn audit whose odd entries keep their coset's posterior but carry
-    fresh numbers: equal ones (times 1) or different ones (times 2 or 3)."""
-    report = leakage_report(Protocol.MXN, 3)
-    entries = tuple(
-        dataclasses.replace(e, probability=e.probability * (i % 3 + 1), leaked_bits=-0.0)
-        if i % 2
-        else e
-        for i, e in enumerate(report.per_transcript)
-    )
-    return dataclasses.replace(report, per_transcript=entries)
-
-
-def test_leakage_json_keeps_each_entry_tail():
-    """Entries that share a posterior but not their numbers each render
-    their own tail: the tail memo keys on all four of them."""
-    report = _own_numbers_report()
-    probabilities: dict[int, set[float]] = {}
-    for e in report.per_transcript:
-        probabilities.setdefault(id(e.posterior), set()).add(e.probability)
-    assert any(len(shared) > 1 for shared in probabilities.values())
-    assert_same_text(leakage_json(report), dumped(report))
-
-
 def reference_leakage_text(report: LeakageReport) -> str:
-    """``leakage_text`` with one f-string per line and no memo."""
+    """``leakage_text`` with one f-string per line, read from the validated
+    per-transcript view rather than the coset table."""
     lines = [f"protocol: {report.protocol.text}"]
     if report.parties is not None:
         lines.append(f"parties: {report.parties}")
@@ -251,14 +207,6 @@ def test_leakage_text_is_the_reference_rendering(protocol, parties):
 @pytest.mark.parametrize("name", sorted(_hand_built_reports()))
 def test_leakage_text_of_hand_built_reports(name):
     report = _hand_built_reports()[name]
-    assert_same_text(leakage_text(report), reference_leakage_text(report))
-
-
-def test_leakage_text_lines_render_each_entry_own_numbers():
-    """Entries that share number objects share one rendered suffix; entries
-    with fresh or differing numbers get their own, so each line still shows
-    its entry's values."""
-    report = _own_numbers_report()
     assert_same_text(leakage_text(report), reference_leakage_text(report))
 
 
