@@ -10,17 +10,26 @@ that can produce one announced tuple, with its probability.  Every
 protocol's channel is one syndrome code over GF(2) and one weight.  An
 announced tuple names a code, the XOR of one term per position from one
 cached term table (:func:`_label_terms`, :func:`_label_code`); an
-assignment publishes one (:func:`_public_syndrome`: alice ^ bob for nba,
-jz and otp, the GHZ label for mxn); and one table (:func:`_cosets`) groups
-the assignments by the code they publish.  A column is the coset of the
-code a tuple names, at the protocol's weight (:func:`_tuple_weight`,
-:func:`named_coset`); a code that is no key of the table names no coset.
+assignment publishes one (:func:`_public_syndrome`: alice ^ bob for jz
+and otp, its label flip for nba, the GHZ label for mxn); and one table
+(:func:`_cosets`) groups the assignments by the code they publish.  A
+column is the coset of the code a tuple names, at the protocol's weight
+(:func:`_tuple_weight`, :func:`named_coset`); a code that is no key of
+the table names no coset.
 An audit reads the code of every tuple of the announced alphabet,
 :data:`ANNOUNCED_SYMBOLS`, whose symbols are listed in audit order (the
 order of their texts), from one walk of the term table
 (:func:`alphabet_syndromes`); a single posterior reads one column.  What an
 outside observer can infer from the announcements is the business of
 :mod:`qdleak.leakage`.
+
+The same code is what the parties decode from.  Every run announces a
+tuple that names its assignment's code, and every party decodes from the
+coset that code names (:func:`_coset_decode`): of its assignments, the one
+whose bits at the party's position are the party's own.  Every run ends in
+one tail (:func:`_run`), and :func:`nba_decode`, :func:`jz_decode` and
+:func:`mxn_decode` check the caller's bits and read the same coset.  An
+eavesdropper, holding no bits of its own, is left with the whole coset.
 
 Every layer takes the party counts decided here once: :func:`party_count`
 accepts None or 2 for nba, jz and otp and 2..6 for mxn assignments,
@@ -47,17 +56,20 @@ Protocols:
   it has a channel but no run function.
 
 Both two-party protocols are label arithmetic over GF(2), with no state
-vector.  A Bell label is a bit pair (psi, minus): Z tensor Z reads -1 on a
-psi label and X tensor X reads -1 on a minus label.  On the traveling qubit
-sx flips psi, sz flips minus and isy = ZX flips both, so NBA coding bits
-(b1, b2) flip psi by b1 ^ b2 and minus by b1, and the final label is the
-initial one flipped by the XOR of the two parties' bits, which the
-transcript thereby makes public.  JZ's isy flips the ket within either
-basis, so the outcome differs from the initial ket exactly when the two
-bits differ.  So a two-party tuple's code is the XOR of its symbols'
-indices in the alphabet, whose bits are a Bell label's (psi, minus) or a
-ket's (basis, value); a jz code with the basis bit set names no coset.
-The engine versions of both are what tests hold them to.
+vector.  A symbol's bits are its index in the alphabet: a Bell label's
+(psi, minus), where Z tensor Z reads -1 on a psi label and X tensor X reads
+-1 on a minus label, or a ket's (basis, value).  On the traveling qubit sx
+flips psi, sz flips minus and isy = ZX flips both, so NBA coding bits
+(b1, b2) flip psi by b1 ^ b2 and minus by b1: with x = alice ^ bob, the
+final label is the initial one flipped by (x1 ^ x2, x1), nba's public
+syndrome.  JZ's isy flips the ket within either basis, so the outcome
+differs from the initial ket exactly when the bits differ: alice ^ bob is
+jz's syndrome.  So a run's second symbol is the index of its first XOR
+the syndrome (:func:`nba_final_label`, :func:`jz_outcome_label`), a
+two-party tuple's code is the XOR of its symbols' indices, and a jz code
+with the basis bit set names no coset.  A two-party coset is
+{(a, a ^ x)}, so party 0's decoding rule, own ^ x, serves both parties.
+The engine versions of both labels are what tests hold them to.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
@@ -68,10 +80,9 @@ tuple names, each at one engine number per party count
 :func:`~qdleak.qstate.project_bell` walk (:func:`paired_bell_distribution`)
 of the all-zero doubled multiplet, read at one tuple.  A run needs no
 table: it samples that law pair by pair with GF(2) arithmetic on the
-label's bits, the draws the engine's collapse would make, and the parties
-decode from the same coset the column reads.  Labels need no state vector
-either.  The coding alphabet acts on them linearly over GF(2), so an
-assignment's label (:func:`mxn_label`) and an announced tuple's label
+label's bits, the draws the engine's collapse would make.  Labels need no
+state vector either.  The coding alphabet acts on them linearly over GF(2),
+so an assignment's label (:func:`mxn_label`) and an announced tuple's label
 (:func:`deduce_ghz_from_bells`) are each a few XORs.  A tuple's label code
 is the XOR of one term per pair, read from the term table: runs, decoding
 and columns XOR one tuple's terms, and the audit walks the table once,
@@ -155,9 +166,6 @@ def _check_bit(value) -> int:
 
 def bits_to_str(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
-
-
-BIT_PAIRS: tuple[Bits, ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 # Each protocol's input shape: (party 0's bit width, every other party's
@@ -355,27 +363,19 @@ def flip_op_for_bit(bit: int) -> PauliOp:
     return _FLIP_OP_FOR_BIT[_check_bit(bit)]
 
 
-# --- NBA ----------------------------------------------------------------
-
-# A Bell label's (psi, minus) bits: Z tensor Z reads -1 on psi, X tensor X
-# reads -1 on minus.
-_BELL_BITS = {
-    BellLabel.PHI_PLUS: (0, 0),
-    BellLabel.PHI_MINUS: (0, 1),
-    BellLabel.PSI_PLUS: (1, 0),
-    BellLabel.PSI_MINUS: (1, 1),
-}
-_BELL_FOR_BITS = {bits: label for label, bits in _BELL_BITS.items()}
+# --- NBA and JZ ---------------------------------------------------------
 
 
-def _bell_bits(label: BellLabel) -> tuple[int, int]:
-    if not isinstance(label, BellLabel):
-        raise TranscriptError(f"not a Bell label: {label!r}")
-    return _BELL_BITS[label]
-
-
-def _xor(a: Bits, b: Bits) -> Bits:
-    return tuple(x ^ y for x, y in zip(a, b))
+def _second_symbol(secrets: SecretAssignment, initial, error: type[ValueError]):
+    """The symbol a two-party run announces after ``initial``: the one whose
+    alphabet index is ``initial``'s XOR the assignment's public syndrome.
+    ``error`` is raised when ``initial`` is not in the alphabet."""
+    symbols = ANNOUNCED_SYMBOLS[secrets.protocol]
+    try:
+        index = symbols.index(initial)
+    except ValueError:
+        raise error(f"not a {secrets.protocol.text} initial symbol: {initial!r}") from None
+    return symbols[index ^ _public_syndrome(secrets)]
 
 
 def nba_final_label(alice: Bits, bob: Bits, initial: BellLabel) -> BellLabel:
@@ -384,58 +384,7 @@ def nba_final_label(alice: Bits, bob: Bits, initial: BellLabel) -> BellLabel:
     Coding bits (b1, b2) flip psi by b1 ^ b2 and minus by b1, and flips
     compose by XOR, so with x = alice ^ bob the final label is the initial
     one flipped by (x1 ^ x2, x1), whoever encodes first."""
-    x1, x2 = _xor(as_bits(alice, 2), as_bits(bob, 2))
-    psi, minus = _bell_bits(initial)
-    return _BELL_FOR_BITS[(psi ^ x1 ^ x2, minus ^ x1)]
-
-
-def _nba_public_xor(initial: BellLabel, final: BellLabel) -> Bits:
-    """alice ^ bob, read back from the label difference: x1 is the minus
-    flip and x2 the psi flip XOR the minus flip."""
-    d_psi, d_minus = _xor(_bell_bits(initial), _bell_bits(final))
-    return (d_minus, d_psi ^ d_minus)
-
-
-def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
-    """Execute one NBA dialogue and decode both ways."""
-    if secrets.protocol is not Protocol.NBA:
-        raise ValueError("run_nba needs NBA secrets")
-    alice, bob = secrets.alice, secrets.others[0]
-    final = nba_final_label(alice, bob, initial)
-    transcript = Transcript(Protocol.NBA, (initial, final))
-    decoded = (
-        {1: nba_decode(alice, initial, final)},
-        {0: nba_decode(bob, initial, final)},
-    )
-    return RunRecord(secrets, transcript, decoded)
-
-
-def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
-    """Recover the counterpart's two bits from the announced labels plus
-    one's own bits: own ^ (alice ^ bob).  The same for both parties."""
-    return _xor(as_bits(own, 2), _nba_public_xor(initial, final))
-
-
-def nba_consistent_pairs(
-    initial: BellLabel, final: BellLabel
-) -> tuple[tuple[Bits, Bits], ...]:
-    """All (alice bits, bob bits) pairs producing ``final`` from
-    ``initial``, ordered by alice's bits: one per alice value a, with bob's
-    bits a ^ (alice ^ bob)."""
-    x = _nba_public_xor(initial, final)
-    return tuple((a, _xor(a, x)) for a in BIT_PAIRS)
-
-
-# --- JZ -----------------------------------------------------------------
-
-
-def basis_labels_of(label: str) -> tuple[str, str]:
-    """The measurement-basis label pair a ket label belongs to."""
-    if label in ("0", "1"):
-        return ("0", "1")
-    if label in ("+", "-"):
-        return ("+", "-")
-    raise ValueError(f"unknown ket label {label!r}")
+    return _second_symbol(nba_secrets(alice, bob), initial, TranscriptError)
 
 
 def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
@@ -445,34 +394,48 @@ def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
     the preparer measures in the preparation basis, so the outcome is
     ``initial`` when the bits agree and the other ket of its basis when
     they differ."""
-    flipped = _check_bit(alice) ^ _check_bit(bob)
-    basis = basis_labels_of(initial)
-    return basis[basis.index(initial) ^ flipped]
+    return _second_symbol(jz_secrets(alice, bob), initial, ValueError)
+
+
+def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
+    """Execute one NBA dialogue and decode both ways."""
+    if secrets.protocol is not Protocol.NBA:
+        raise ValueError("run_nba needs NBA secrets")
+    final = nba_final_label(secrets.alice, secrets.others[0], initial)
+    return _run(secrets, (initial, final))
 
 
 def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
     """Execute one JZ dialogue and decode both ways."""
     if secrets.protocol is not Protocol.JZ:
         raise ValueError("run_jz needs JZ secrets")
-    alice, bob = secrets.alice[0], secrets.others[0][0]
-    outcome = jz_outcome_label(alice, bob, initial)
-    transcript = Transcript(Protocol.JZ, (initial, outcome))
-    decoded = (
-        {1: (jz_decode(alice, initial, outcome),)},
-        {0: (jz_decode(bob, initial, outcome),)},
-    )
-    return RunRecord(secrets, transcript, decoded)
+    outcome = jz_outcome_label(secrets.alice[0], secrets.others[0][0], initial)
+    return _run(secrets, (initial, outcome))
+
+
+def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
+    """Recover the counterpart's two bits from the announced labels plus
+    one's own bits.  The coset is {(a, a ^ x)} with x = alice ^ bob, so
+    party 0's rule, own ^ x, serves both parties."""
+    own = as_bits(own, 2)
+    return _coset_decode(Transcript(Protocol.NBA, (initial, final)), [(0, own)])[0][1]
+
+
+def nba_consistent_pairs(
+    initial: BellLabel, final: BellLabel
+) -> tuple[tuple[Bits, Bits], ...]:
+    """All (alice bits, bob bits) pairs producing ``final`` from
+    ``initial``, ordered by alice's bits: the coset the labels name."""
+    _, coset, _ = named_coset(Transcript(Protocol.NBA, (initial, final)))
+    return tuple((secrets.alice, secrets.others[0]) for secrets in coset)
 
 
 def jz_decode(own: int, initial: str, outcome: str) -> int:
-    """Counterpart's bit: whether the ket flipped, minus one's own flip."""
-    _check_bit(own)
-    if outcome not in basis_labels_of(initial):
-        raise TranscriptError(
-            f"outcome {outcome!r} is not in the preparation basis of {initial!r}"
-        )
-    flipped = int(initial != outcome)
-    return flipped ^ own
+    """Counterpart's bit: one's own bit XOR the public alice ^ bob, read
+    from the coset the kets name, as :func:`nba_decode` reads it."""
+    own = _check_bit(own)
+    transcript = Transcript(Protocol.JZ, (initial, outcome))
+    return _coset_decode(transcript, [(0, (own,))])[0][1][0]
 
 
 # --- MXN ----------------------------------------------------------------
@@ -566,16 +529,15 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     n = _check_mxn_parties(secrets.num_parties, "runs")
     x, y = _label_bits(secrets)
     draws = rng.random(n).tolist()  # the same n numbers as n rng.random() calls
+    bells = ANNOUNCED_SYMBOLS[Protocol.MXN]  # index bits (psi, minus)
     psi0, minus = divmod(int(4 * draws[0]), 2)
-    announced = [_BELL_FOR_BITS[psi0, minus]]
+    announced = [bells[psi0 << 1 | minus]]
     for y_i, u in zip(y[:-1], draws[1:-1]):
         minus_i = int(u >= 0.5)
         minus ^= minus_i
-        announced.append(_BELL_FOR_BITS[psi0 ^ y_i, minus_i])
-    announced.append(_BELL_FOR_BITS[psi0 ^ y[-1], x ^ minus])
-    transcript = Transcript(Protocol.MXN, announced)
-    decoded = _coset_decode(transcript, enumerate(secrets.full_bits))
-    return RunRecord(secrets, transcript, decoded)
+        announced.append(bells[(psi0 ^ y_i) << 1 | minus_i])
+    announced.append(bells[(psi0 ^ y[-1]) << 1 | x ^ minus])
+    return _run(secrets, announced)
 
 
 def _announced_bells(outcomes: tuple[BellLabel, ...]) -> np.ndarray:
@@ -621,7 +583,7 @@ def _label_terms(protocol: Protocol, parties: int) -> tuple[tuple, tuple[tuple[i
         return symbols, (tuple(range(len(symbols))),) * parties
     x_bit = 1 << (parties - 1)
     psi_terms = (x_bit - 1, *(x_bit >> pair for pair in range(1, parties)))
-    bits = [_BELL_BITS[label] for label in symbols]
+    bits = [divmod(index, 2) for index in range(len(symbols))]  # (psi, minus)
     return symbols, tuple(
         tuple(psi * psi_term ^ minus * x_bit for psi, minus in bits)
         for psi_term in psi_terms
@@ -704,14 +666,28 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     return _coset_decode(transcript, [(party, own)])[0]
 
 
+# --- runs and decoding: the coset a transcript names --------------------
+
+
+def _run(secrets: SecretAssignment, announced: Sequence) -> RunRecord:
+    """A run's record: its announcements, and every party's decoding of
+    them with its own bits."""
+    transcript = Transcript(secrets.protocol, announced)
+    decoded = _coset_decode(transcript, enumerate(secrets.full_bits))
+    return RunRecord(secrets, transcript, decoded)
+
+
 def _coset_decode(
     transcript: Transcript, owns: Iterable[tuple[int, Bits]]
 ) -> tuple[dict[int, Bits], ...]:
     """For each (party, own bits), every other party's bits, read from the
-    one assignment of the mxn transcript's coset whose ``party`` bits are
-    ``own``."""
-    announced = transcript.announced
-    coset = _cosets(Protocol.MXN, len(announced))[_label_code(Protocol.MXN, announced)]
+    one assignment of the coset the transcript names whose ``party`` bits
+    are ``own``.  A code that names no coset, such as a jz outcome outside
+    its preparation basis, is a :class:`TranscriptError`."""
+    protocol, announced = transcript.protocol, transcript.announced
+    coset = _cosets(protocol, len(announced)).get(_label_code(protocol, announced))
+    if coset is None:
+        raise TranscriptError(f"no {protocol.text} assignment announces {announced!r}")
     candidates = [secrets.full_bits for secrets in coset]
     decoded = []
     for party, own in owns:
@@ -728,16 +704,17 @@ def _coset_decode(
 
 
 def _public_syndrome(secrets: SecretAssignment) -> int:
-    """The code every transcript of the assignment names: for nba the
-    final label from phi+, whose term is 0, for jz and otp alice ^ bob, for
+    """The code every transcript of the assignment names: for jz and otp
+    alice ^ bob; for nba, with x = alice ^ bob, the (psi, minus) flip
+    (x1 ^ x2, x1), which is the index of the final label from phi+; for
     mxn its GHZ label's index in :func:`~qdleak.qstate.all_ghz_labels`."""
     if secrets.protocol is Protocol.MXN:
         x, y = _label_bits(secrets)
         return functools.reduce(lambda code, bit: code << 1 | bit, y, x)
     alice, bob = secrets.alice, secrets.others[0]
     if secrets.protocol is Protocol.NBA:
-        final = nba_final_label(alice, bob, BellLabel.PHI_PLUS)
-        return ANNOUNCED_SYMBOLS[Protocol.NBA].index(final)
+        x1, x2 = alice[0] ^ bob[0], alice[1] ^ bob[1]
+        return (x1 ^ x2) << 1 | x1
     return alice[0] ^ bob[0]
 
 
@@ -755,9 +732,10 @@ def _tuple_weight(protocol: Protocol, parties: int) -> float:
 def _cosets(protocol: Protocol, parties: int) -> dict[int, tuple[SecretAssignment, ...]]:
     """public syndrome -> the assignments publishing it, in lexicographic
     order, built once, so columns and decoding hand out shared assignments.
-    An mxn coset holds two assignments that differ in every bit except, for
-    an even party count, party 0's second one, so each party's own bits
-    separate them, which is what decoding relies on."""
+    A two-party coset {(a, a ^ x)} holds one assignment per value of either
+    party's bits, and an mxn coset two assignments that differ in every bit
+    except, for an even party count, party 0's second one, so each party's
+    own bits pick one assignment, which is what decoding relies on."""
     table: dict[int, list[SecretAssignment]] = {}
     for secrets in all_secret_assignments(protocol, parties):
         table.setdefault(_public_syndrome(secrets), []).append(secrets)

@@ -37,10 +37,13 @@ from qdleak.protocols import (
     all_secret_assignments,
     alphabet_syndromes,
     channel_column,
+    jz_decode,
     jz_outcome_label,
     mxn_decode,
     mxn_encoded_state,
     mxn_secrets,
+    named_coset,
+    nba_decode,
     nba_final_label,
     paired_bell_probability,
     run_jz,
@@ -88,6 +91,50 @@ def test_shannon_entropy_bounds(weights):
     p = np.asarray(weights) / sum(weights)
     h = shannon_entropy(p)
     assert -1e-9 <= h <= math.log2(len(p)) + 1e-9
+
+
+def numpy_entropy(probabilities):
+    """The entropy by numpy's vector formula, the reference for the
+    pure-Python sum."""
+    p = np.asarray(probabilities, dtype=float)
+    nz = p[p > 0]
+    return float(-(nz * np.log2(nz)).sum())
+
+
+@given(
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=1, max_size=16).filter(
+        any
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_shannon_entropy_is_the_numpy_formula(weights):
+    p = [w / sum(weights) for w in weights]
+    assert abs(shannon_entropy(p) - numpy_entropy(p)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [(Protocol.NBA, None), (Protocol.JZ, None), (Protocol.OTP, None)]
+    + [(Protocol.MXN, n) for n in MXN_PARTIES],
+)
+def test_audit_entropies_equal_the_numpy_formula(protocol, parties):
+    for coset in leakage_report(protocol, parties).cosets:
+        assert coset.entropy_bits == numpy_entropy(coset.posterior.probabilities)
+
+
+def test_shannon_entropy_negativity_floor_is_1e_12():
+    """An entry rounded just below 0 is accepted; one further below is
+    refused, although the sum stays within its tolerance."""
+    assert shannon_entropy([1.0, -0.5e-12]) == 0.0
+    with pytest.raises(ValueError, match="negative probability"):
+        shannon_entropy([1.0, -2e-12])
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_shannon_entropy_sum_tolerance_is_1e_9(sign):
+    assert shannon_entropy([0.5, 0.5 + sign * 0.5e-9]) == pytest.approx(1.0, abs=1e-8)
+    with pytest.raises(ValueError, match="probabilities sum to"):
+        shannon_entropy([0.5, 0.5 + sign * 2e-9])
 
 
 # --- posterior object --------------------------------------------------
@@ -315,6 +362,63 @@ def test_jz_matches_reused_key_otp_everywhere():
         jz_otp_equivalence("0", "-")
     with pytest.raises(ValueError):
         jz_otp_equivalence("x", "0")
+
+
+# --- what the parties decode against what Eve sees ----------------------
+
+
+def every_run():
+    """Every nba run (assignment x initial label), every jz run (assignment
+    x initial ket), and every mxn run at N=3..6 under seeds 0 and 1."""
+    for secrets, initial in itertools.product(all_secret_assignments(Protocol.NBA), BellLabel):
+        yield run_nba(secrets, initial)
+    for secrets, initial in itertools.product(all_secret_assignments(Protocol.JZ), KET_LABELS):
+        yield run_jz(secrets, initial)
+    for parties, seed in itertools.product(MXN_PARTIES, (0, 1)):
+        for secrets in all_secret_assignments(Protocol.MXN, parties):
+            yield run_mxn(secrets, make_rng(seed))
+
+
+def public_decode(transcript, party, own):
+    """What ``party``, holding ``own``, decodes through the public decoder."""
+    if transcript.protocol is Protocol.NBA:
+        return {1 - party: nba_decode(own, *transcript.announced)}
+    if transcript.protocol is Protocol.JZ:
+        return {1 - party: (jz_decode(own[0], *transcript.announced),)}
+    return mxn_decode(party, own, transcript)
+
+
+def test_every_party_decodes_from_the_coset_eve_is_left_with():
+    """Eve's support is the coset the transcript names, and any member of
+    it, with one party's bits in that party's hands, decodes to its other
+    parties' bits: a party's own bits pick one member of what Eve sees."""
+    runs = 0
+    for record in every_run():
+        transcript = record.transcript
+        support = eve_posterior(transcript).support
+        assert support == frozenset(named_coset(transcript)[1])
+        for secrets in support:
+            bits = secrets.full_bits
+            for party, own in enumerate(bits):
+                want = {j: other for j, other in enumerate(bits) if j != party}
+                assert public_decode(transcript, party, own) == want
+        runs += 1
+    assert runs == 64 + 16 + 2 * sum(2 ** (n + 1) for n in MXN_PARTIES)
+
+
+def test_a_cross_basis_jz_tuple_is_refused_by_decoder_and_eve_alike():
+    crossing = [
+        (initial, outcome)
+        for initial, outcome in itertools.product(KET_LABELS, repeat=2)
+        if (initial in "01") != (outcome in "01")
+    ]
+    assert len(crossing) == 8
+    for initial, outcome in crossing:
+        for own in (0, 1):
+            with pytest.raises(TranscriptError):
+                jz_decode(own, initial, outcome)
+        with pytest.raises(TranscriptError):
+            eve_posterior(Transcript(Protocol.JZ, (initial, outcome)))
 
 
 # --- reports -----------------------------------------------------------

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdleak import protocols
 from qdleak.leakage import eve_posterior, leakage_report
 from qdleak.protocols import (
     ANNOUNCED_SYMBOLS,
-    BIT_PAIRS,
     MXN_PARTIES,
     Protocol,
     RunRecord,
@@ -25,7 +25,6 @@ from qdleak.protocols import (
     all_secret_assignments,
     alphabet_syndromes,
     as_bits,
-    basis_labels_of,
     bits_to_str,
     channel_column,
     deduce_ghz_from_bells,
@@ -76,6 +75,13 @@ from channel_reference import (
     label_code,
     mxn_row,
 )
+
+BIT_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def basis_labels_of(label):
+    """The measurement-basis label pair a ket label belongs to."""
+    return ("0", "1") if label in ("0", "1") else ("+", "-")
 
 
 def oracle_joint_bell_prob(state, labels):
@@ -472,13 +478,19 @@ PSI_PLUS = BellLabel.PSI_PLUS
         (lambda: nba_consistent_pairs(PSI_PLUS, "phi-"), TranscriptError),
         (lambda: nba_final_label((0, 2), (0, 1), PSI_PLUS), ValueError),
         (lambda: nba_decode((True, 0), PSI_PLUS, BellLabel.PHI_PLUS), ValueError),
+        (lambda: nba_final_label((True, 0), (0, 1), PSI_PLUS), ValueError),
         (lambda: jz_outcome_label(0, 2, "0"), ValueError),
+        (lambda: jz_outcome_label(True, 0, "0"), ValueError),
+        (lambda: jz_outcome_label(0, 1, "x"), ValueError),
+        (lambda: jz_outcome_label(0, 1, BellLabel.PHI_PLUS), ValueError),
         (lambda: jz_decode(True, "0", "1"), ValueError),
+        (lambda: jz_decode(0, "x", "1"), TranscriptError),
     ],
 )
 def test_two_party_helpers_reject_malformed_input(call, error):
-    """A non-Bell label is a corrupted transcript; a non-bit, bools
-    included, is a plain ValueError."""
+    """A non-Bell label, or a decoded ket that is not one, is a corrupted
+    transcript; a non-bit, bools included, or an unknown initial ket is a
+    plain ValueError."""
     with pytest.raises(ValueError) as exc:
         call()
     assert exc.type is error
@@ -533,6 +545,27 @@ def test_nba_consistent_pairs_match_frozen_table():
     }
     for final, expected in rows.items():
         assert nba_consistent_pairs(BellLabel.PSI_PLUS, final) == expected
+
+
+def test_every_run_and_decoder_reads_the_coset_once(monkeypatch):
+    """Runs and public decoders of all three protocols share one decoder,
+    which each calls once."""
+    calls = []
+    coset_decode = protocols._coset_decode
+
+    def counting(transcript, owns):
+        calls.append(transcript.protocol)
+        return coset_decode(transcript, owns)
+
+    monkeypatch.setattr(protocols, "_coset_decode", counting)
+    nba = run_nba(nba_secrets("01", "11"), BellLabel.PSI_PLUS)
+    jz = run_jz(jz_secrets(0, 1), "+")
+    mxn = run_mxn(mxn_secrets("10", [1, 0]), make_rng(0))
+    assert calls == [Protocol.NBA, Protocol.JZ, Protocol.MXN]
+    assert nba_decode((0, 1), *nba.transcript.announced) == (1, 1)
+    assert jz_decode(0, *jz.transcript.announced) == 1
+    assert mxn_decode(1, (1,), mxn.transcript) == {0: (1, 0), 2: (0,)}
+    assert calls == [Protocol.NBA, Protocol.JZ, Protocol.MXN] * 2
 
 
 def test_run_nba_rejects_wrong_protocol():
