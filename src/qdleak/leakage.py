@@ -8,11 +8,18 @@ the probability of producing it.  That probability, P(announced | secrets),
 is each protocol's transcript channel, read one column at a time from
 :mod:`qdleak.protocols` (:func:`~qdleak.protocols.channel_column`): a
 single transcript's posterior is its column, normalized.  A tuple's column
-depends only on the public syndrome it names, so an audit is a coset
-table: one posterior per coset of assignments that publish the same
-syndrome (2^N for mxn, 4 for nba, 2 for jz and otp), and one entry per
-tuple of the announced alphabet that names the coset it belongs to.
-Nothing here depends on how a protocol produces its announcements.
+is the coset of the public syndrome it names, every member at one weight,
+so normalizing cancels the weight and the posterior is the coset at equal
+weight.  One cached table per protocol and party count holds those
+posteriors (:func:`_coset_posteriors`): :func:`eve_posterior` is one
+lookup of the code a transcript names, and an audit is a coset table that
+reads the same posteriors, one per coset of assignments that publish the
+same syndrome (2^N for mxn, 4 for nba, 2 for jz and otp), and one entry
+per tuple of the announced alphabet that names the coset it belongs to.
+Only an audit's probabilities read the weight, which for mxn is one engine
+walk per party count.  The column stays the reference that tests hold the
+lookup to.  Nothing here depends on how a protocol produces its
+announcements.
 Leakage is quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
@@ -28,6 +35,7 @@ same treatment, so its structure can be compared with JZ's.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -39,10 +47,11 @@ from .protocols import (
     SecretAssignment,
     Transcript,
     TranscriptError,
+    _check_mxn_parties,
     _cosets,
+    _label_code,
     _tuple_weight,
     alphabet_syndromes,
-    channel_column,
     party_count,
     total_secret_bits,
 )
@@ -106,11 +115,34 @@ class Posterior:
         return shannon_entropy(self.probabilities)
 
 
+@functools.lru_cache(maxsize=None)
+def _coset_posteriors(protocol: Protocol, parties: int) -> dict[int, Posterior]:
+    """public syndrome -> the posterior every tuple naming it leaves, keyed
+    like :func:`~qdleak.protocols._cosets` and built once per protocol and
+    party count.  A coset's members share one P(announced | secrets), which
+    normalizing cancels, so each posterior is its coset at equal weight."""
+    return {
+        code: Posterior.from_weights((s, 1.0) for s in coset)
+        for code, coset in _cosets(protocol, parties).items()
+    }
+
+
 def eve_posterior(transcript: Transcript) -> Posterior:
     """Posterior over all secret assignments given one public transcript,
-    starting from a uniform prior: the transcript's column of the channel,
-    normalized."""
-    return Posterior.from_weights(channel_column(transcript).items())
+    starting from a uniform prior: the cached posterior of the coset the
+    transcript's code names, the one the audit reports.  It equals the
+    transcript's column of the channel,
+    :func:`~qdleak.protocols.channel_column`, normalized; tests hold it to
+    that.  An mxn transcript needs a party count in
+    :data:`~qdleak.protocols.MXN_PARTIES`."""
+    protocol, announced = transcript.protocol, transcript.announced
+    n = len(announced)
+    if protocol is Protocol.MXN:
+        _check_mxn_parties(n)
+    posterior = _coset_posteriors(protocol, n).get(_label_code(protocol, announced))
+    if posterior is None:
+        raise TranscriptError("no hypothesis is consistent with the transcript")
+    return posterior
 
 
 def nba_xor_constraint(transcript: Transcript) -> tuple[int, int]:
@@ -245,8 +277,10 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     audit each coset's posterior.
 
     The report's cosets follow the keys of
-    :func:`~qdleak.protocols._cosets`, each with its probability, posterior
-    and entropy computed once.  Its entries follow the tuples of
+    :func:`~qdleak.protocols._cosets`, each with its probability and
+    entropy computed once and the cached posterior :func:`eve_posterior`
+    hands out (:func:`_coset_posteriors`); only the probabilities read the
+    protocol's tuple weight.  Its entries follow the tuples of
     :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS` in ``itertools.product``
     order, which is the order of the symbols' texts, skipping the tuples
     whose code names no coset.  The codes of all tuples come from one call
@@ -259,15 +293,13 @@ def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageRep
     prior = 1.0 / 2**total
     codes = alphabet_syndromes(protocol, n)
     weight = _tuple_weight(protocol, n)
-    table = _cosets(protocol, n)
+    table = _coset_posteriors(protocol, n)
     cosets = []
-    for coset in table.values():
-        weights = dict.fromkeys(coset, weight)
-        posterior = Posterior.from_weights(weights.items())
+    for posterior in table.values():
         entropy = shannon_entropy(posterior.probabilities)
-        cosets.append(
-            CosetLeakage(prior * sum(weights.values()), posterior, entropy, total - entropy)
-        )
+        # the coset's probability: its members' weights summed one by one
+        mass = sum(weight for _ in posterior.hypotheses)
+        cosets.append(CosetLeakage(prior * mass, posterior, entropy, total - entropy))
     index = {code: k for k, code in enumerate(table)}
     tuples = itertools.product(range(len(ANNOUNCED_SYMBOLS[protocol])), repeat=n)
     entries = tuple((t, index[code]) for t, code in zip(tuples, codes) if code in index)

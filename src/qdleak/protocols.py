@@ -19,7 +19,8 @@ the table names no coset.
 An audit reads the code of every tuple of the announced alphabet,
 :data:`ANNOUNCED_SYMBOLS`, whose symbols are listed in audit order (the
 order of their texts), from one walk of the term table
-(:func:`alphabet_syndromes`); a single posterior reads one column.  What an
+(:func:`alphabet_syndromes`); a single posterior reads the code one tuple
+names (:func:`_label_code`), and the column is its reference.  What an
 outside observer can infer from the announcements is the business of
 :mod:`qdleak.leakage`.
 
@@ -65,7 +66,8 @@ final label is the initial one flipped by (x1 ^ x2, x1), nba's public
 syndrome.  JZ's isy flips the ket within either basis, so the outcome
 differs from the initial ket exactly when the bits differ: alice ^ bob is
 jz's syndrome.  So a run's second symbol is the index of its first XOR
-the syndrome (:func:`nba_final_label`, :func:`jz_outcome_label`), a
+the syndrome of the assignment it holds (:func:`_second_symbol`, which
+:func:`nba_final_label` and :func:`jz_outcome_label` call on raw bits), a
 two-party tuple's code is the XOR of its symbols' indices, and a jz code
 with the basis bit set names no coset.  A two-party coset is
 {(a, a ^ x)}, so party 0's decoding rule, own ^ x, serves both parties.
@@ -401,16 +403,14 @@ def run_nba(secrets: SecretAssignment, initial: BellLabel) -> RunRecord:
     """Execute one NBA dialogue and decode both ways."""
     if secrets.protocol is not Protocol.NBA:
         raise ValueError("run_nba needs NBA secrets")
-    final = nba_final_label(secrets.alice, secrets.others[0], initial)
-    return _run(secrets, (initial, final))
+    return _run(secrets, (initial, _second_symbol(secrets, initial, TranscriptError)))
 
 
 def run_jz(secrets: SecretAssignment, initial: str) -> RunRecord:
     """Execute one JZ dialogue and decode both ways."""
     if secrets.protocol is not Protocol.JZ:
         raise ValueError("run_jz needs JZ secrets")
-    outcome = jz_outcome_label(secrets.alice[0], secrets.others[0][0], initial)
-    return _run(secrets, (initial, outcome))
+    return _run(secrets, (initial, _second_symbol(secrets, initial, ValueError)))
 
 
 def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:

@@ -28,6 +28,7 @@ from qdleak.leakage import (
     total_secret_bits,
 )
 from qdleak.protocols import (
+    ANNOUNCED_SYMBOLS,
     MXN_PARTIES,
     Protocol,
     SecretAssignment,
@@ -525,8 +526,10 @@ def test_leakage_report_is_the_row_table_audit(protocol, parties):
     ],
 )
 def test_leakage_report_builds_one_posterior_per_coset(monkeypatch, protocol, parties, cosets):
-    """The entries of one coset share one Posterior, built and measured
-    once, however many transcripts name the coset."""
+    """The entries of one coset share one Posterior, built once per process
+    and measured once per audit, however many transcripts name the coset;
+    it is the object eve_posterior hands out for each of them."""
+    leakage._coset_posteriors.cache_clear()
     built, measured = [], []
     from_weights, entropy = Posterior.from_weights, leakage.shannon_entropy
 
@@ -545,6 +548,12 @@ def test_leakage_report_builds_one_posterior_per_coset(monkeypatch, protocol, pa
     assert len({id(e.posterior) for e in report.per_transcript}) == cosets
     assert len(built) == len(measured) == cosets
     assert len(report.entries) > cosets
+    del built[:], measured[:]
+    again = leakage_report(protocol, parties)
+    assert (len(built), len(measured)) == (0, cosets)
+    for e in again.per_transcript:
+        assert eve_posterior(e.transcript) is e.posterior
+    assert built == []
 
 
 _AUDITS = [
@@ -568,6 +577,53 @@ def test_report_cosets_are_the_coset_table(protocol, parties):
     assert {k for _, k in report.entries} == set(range(len(table)))
     for entry, (_, k) in zip(report.per_transcript, report.entries):
         assert eve_posterior(entry.transcript) == report.cosets[k].posterior
+
+
+@pytest.mark.parametrize("protocol, parties", _AUDITS)
+def test_eve_posterior_is_the_normalized_column_on_every_tuple(protocol, parties):
+    """The cached lookup is held to the channel: on every tuple of the
+    alphabet its hypotheses equal the column's, weighted by the engine for
+    mxn, normalized, with ==, and it refuses exactly the tuples whose
+    column is empty."""
+    refused = 0
+    for announced in itertools.product(ANNOUNCED_SYMBOLS[protocol], repeat=parties or 2):
+        transcript = Transcript(protocol, announced)
+        column = channel_column(transcript)
+        if not column:
+            refused += 1
+            with pytest.raises(TranscriptError):
+                eve_posterior(transcript)
+            continue
+        want = Posterior.from_weights(column.items()).hypotheses
+        assert eve_posterior(transcript).hypotheses == want
+    assert refused == (8 if protocol is Protocol.JZ else 0)
+
+
+def test_cold_eavesdrop_walks_no_engine(monkeypatch):
+    """With the coset, posterior and tuple-probability caches emptied, one
+    posterior of each kind builds no StateVector and runs no
+    paired_bell_distribution: the weight it would read cancels."""
+    built, walked = [], []
+    construct, walk = StateVector.__init__, protocols.paired_bell_distribution
+
+    def counting(self, amplitudes):
+        built.append(1)
+        construct(self, amplitudes)
+
+    def counting_walk(state):
+        walked.append(1)
+        return walk(state)
+
+    monkeypatch.setattr(StateVector, "__init__", counting)
+    monkeypatch.setattr(protocols, "paired_bell_distribution", counting_walk)
+    for cache in (_cosets, leakage._coset_posteriors, protocols._tuple_probability):
+        cache.cache_clear()
+    for protocol, parties in _AUDITS:
+        first = ANNOUNCED_SYMBOLS[protocol][0]
+        eve_posterior(Transcript(protocol, (first,) * (parties or 2)))
+    assert built == walked == []
+    protocols._tuple_probability(3)  # the counters see a walk
+    assert built and walked == [1]
 
 
 def test_leakage_report_builds_no_transcript(monkeypatch):

@@ -7,6 +7,8 @@ import os
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdleak.leakage import (
     CosetLeakage,
@@ -16,6 +18,8 @@ from qdleak.leakage import (
     shannon_entropy,
 )
 from qdleak.protocols import (
+    ANNOUNCED_SYMBOLS,
+    MXN_PARTIES,
     Protocol,
     all_secret_assignments,
     jz_secrets,
@@ -171,6 +175,58 @@ def test_leakage_json_of_hand_built_reports(name, fragment):
     text = leakage_json(report)
     assert_same_text(text, dumped(report))
     assert fragment in text
+
+
+# Any float, with the edge cases the serializer writes by hand drawn often:
+# a negative zero, subnormals, NaN and both infinities.
+_NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@st.composite
+def leakage_reports(draw):
+    """A report of any protocol and party count the report takes, whose
+    cosets hold arbitrary numbers and arbitrary hypotheses, with entries
+    naming them in any order."""
+    protocol = draw(st.sampled_from(list(Protocol)))
+    parties = draw(st.sampled_from(MXN_PARTIES[:2])) if protocol is Protocol.MXN else None
+    width = parties or 2
+    hypotheses = st.lists(
+        st.tuples(st.sampled_from(all_secret_assignments(protocol, width)), _NUMBERS),
+        max_size=4,
+    )
+    posteriors = hypotheses.map(lambda h: Posterior(tuple(h)))
+    cosets = draw(
+        st.lists(st.builds(CosetLeakage, _NUMBERS, posteriors, _NUMBERS, _NUMBERS), max_size=3)
+    )
+    symbols = st.integers(0, len(ANNOUNCED_SYMBOLS[protocol]) - 1)
+    entries = (
+        draw(
+            st.lists(
+                st.tuples(st.tuples(*[symbols] * width), st.integers(0, len(cosets) - 1)),
+                max_size=6,
+            )
+        )
+        if cosets
+        else []
+    )
+    return LeakageReport(
+        protocol,
+        parties,
+        draw(st.integers(0, 8)),
+        draw(_NUMBERS),
+        draw(_NUMBERS),
+        tuple(cosets),
+        tuple(entries),
+    )
+
+
+@given(leakage_reports())
+@settings(max_examples=200, deadline=None)
+def test_leakage_json_is_the_dumped_document_of_any_report(report):
+    assert_same_text(leakage_json(report), dumped(report))
 
 
 def reference_leakage_text(report: LeakageReport) -> str:
