@@ -8,17 +8,18 @@ Each protocol also has its transcript channel here, P(announced | secrets),
 read one column at a time: :func:`channel_column` gives every assignment
 that can produce one announced tuple, with its probability.  Every
 protocol's channel is one syndrome code over GF(2) and one weight.  An
-announced tuple names a code, the XOR of one term per position from one
-cached term table (:func:`_label_terms`, :func:`_label_code`); an
-assignment publishes one (:func:`_public_syndrome`: alice ^ bob for jz
-and otp, its label flip for nba, the GHZ label for mxn); and one table
-(:func:`_cosets`) groups the assignments by the code they publish.  A
+announced tuple names a code, the XOR of its symbols' terms from one
+cached table (:func:`_label_terms`, :func:`_label_code`); an assignment
+publishes one, the XOR of its set bits' terms from another
+(:func:`_secret_terms`, :func:`_public_syndrome`): two term tables, one
+code.  A transcript names the coset of the code the secrets publish, and
+one table (:func:`_cosets`) groups the assignments by that code.  A
 column is the coset of the code a tuple names, at the protocol's weight
 (:func:`_tuple_weight`, :func:`named_coset`); a code that is no key of
 the table names no coset.
 An audit reads the code of every tuple of the announced alphabet,
 :data:`ANNOUNCED_SYMBOLS`, whose symbols are listed in audit order (the
-order of their texts), from one walk of the term table
+order of their texts), from one walk of the announced symbols' table
 (:func:`alphabet_syndromes`); a single posterior reads the code one tuple
 names (:func:`_label_code`), and the column is its reference.  What an
 outside observer can infer from the announcements is the business of
@@ -59,19 +60,14 @@ Protocols:
 Both two-party protocols are label arithmetic over GF(2), with no state
 vector.  A symbol's bits are its index in the alphabet: a Bell label's
 (psi, minus), where Z tensor Z reads -1 on a psi label and X tensor X reads
--1 on a minus label, or a ket's (basis, value).  On the traveling qubit sx
-flips psi, sz flips minus and isy = ZX flips both, so NBA coding bits
-(b1, b2) flip psi by b1 ^ b2 and minus by b1: with x = alice ^ bob, the
-final label is the initial one flipped by (x1 ^ x2, x1), nba's public
-syndrome.  JZ's isy flips the ket within either basis, so the outcome
-differs from the initial ket exactly when the bits differ: alice ^ bob is
-jz's syndrome.  So a run's second symbol is the index of its first XOR
-the syndrome of the assignment it holds (:func:`_second_symbol`, which
-:func:`nba_final_label` and :func:`jz_outcome_label` call on raw bits), a
-two-party tuple's code is the XOR of its symbols' indices, and a jz code
-with the basis bit set names no coset.  A two-party coset is
-{(a, a ^ x)}, so party 0's decoding rule, own ^ x, serves both parties.
-The engine versions of both labels are what tests hold them to.
+-1 on a minus label, or a ket's (basis, value).  A run's second symbol is
+the index of its first XOR the code of the assignment it holds
+(:func:`_second_symbol`, which :func:`nba_final_label` and
+:func:`jz_outcome_label` call on raw bits), a two-party tuple's code is
+the XOR of its symbols' indices, and a jz code with the basis bit set
+names no coset.  A two-party coset is {(a, a ^ x)}, so party 0's decoding
+rule, own ^ x, serves both parties.  The engine versions of both labels
+are what tests hold them to.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
@@ -83,12 +79,12 @@ tuple names, each at one engine number per party count
 of the all-zero doubled multiplet, read at one tuple.  A run needs no
 table: it samples that law pair by pair with GF(2) arithmetic on the
 label's bits, the draws the engine's collapse would make.  Labels need no
-state vector either.  The coding alphabet acts on them linearly over GF(2),
-so an assignment's label (:func:`mxn_label`) and an announced tuple's label
-(:func:`deduce_ghz_from_bells`) are each a few XORs.  A tuple's label code
-is the XOR of one term per pair, read from the term table: runs, decoding
-and columns XOR one tuple's terms, and the audit walks the table once,
-pair by pair, for the codes of all 4^N tuples.  The engine versions,
+state vector either: an assignment's label (:func:`mxn_label`) and an
+announced tuple's label (:func:`deduce_ghz_from_bells`) are each the code
+its term table gives, read as an index into
+:func:`~qdleak.qstate.all_ghz_labels`.  Runs, decoding and columns XOR
+one tuple's terms, and the audit walks the table once, pair by pair, for
+the codes of all 4^N tuples.  The engine versions,
 :func:`ghz_after_ops`, :func:`paired_bell_probability` on
 :func:`mxn_encoded_state` and every label's own walk, are what tests hold
 them to.
@@ -101,6 +97,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence, Union
@@ -381,11 +378,9 @@ def _second_symbol(secrets: SecretAssignment, initial, error: type[ValueError]):
 
 
 def nba_final_label(alice: Bits, bob: Bits, initial: BellLabel) -> BellLabel:
-    """The final Bell result after both encodings on the traveling qubit.
-
-    Coding bits (b1, b2) flip psi by b1 ^ b2 and minus by b1, and flips
-    compose by XOR, so with x = alice ^ bob the final label is the initial
-    one flipped by (x1 ^ x2, x1), whoever encodes first."""
+    """The final Bell result after both encodings on the traveling qubit:
+    the initial label flipped by the assignment's code, whoever encodes
+    first."""
     return _second_symbol(nba_secrets(alice, bob), initial, TranscriptError)
 
 
@@ -479,23 +474,11 @@ def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
 
 
 def mxn_label(secrets: SecretAssignment) -> GhzLabel:
-    """The GHZ label an MXN assignment encodes, read off its bits over GF(2).
-
-    A Z part on any qubit flips x, an X part on qubit i >= 1 flips y_i and
-    an X part on qubit 0 flips all of y.  Party 0's bits (a1, a2) carry a Z
-    part when a1 ^ a2 (sz, isy) and an X part when a1 (isy, sx); party i's
-    isy carries both.  So x = a1 ^ a2 ^ b_1 ^ ... ^ b_(N-1) and
-    y_i = b_i ^ a1."""
+    """The GHZ label an MXN assignment encodes: the one its code indexes
+    in :func:`~qdleak.qstate.all_ghz_labels`."""
     if secrets.protocol is not Protocol.MXN:
         raise ValueError("needs MXN secrets")
-    return GhzLabel(*_label_bits(secrets))
-
-
-def _label_bits(secrets: SecretAssignment) -> tuple[int, Bits]:
-    """:func:`mxn_label`'s (x, y), without building the label."""
-    a1, a2 = secrets.alice
-    others = [bits[0] for bits in secrets.others]
-    return (a1 + a2 + sum(others)) % 2, tuple(b ^ a1 for b in others)
+    return all_ghz_labels(secrets.num_parties)[_public_syndrome(secrets)]
 
 
 def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
@@ -527,7 +510,7 @@ def run_mxn(secrets: SecretAssignment, rng: np.random.Generator) -> RunRecord:
     The parties then read the label from the announced tuple once and
     decode from its coset."""
     n = _check_mxn_parties(secrets.num_parties, "runs")
-    x, y = _label_bits(secrets)
+    x, *y = mxn_label(secrets).bits
     draws = rng.random(n).tolist()  # the same n numbers as n rng.random() calls
     bells = ANNOUNCED_SYMBOLS[Protocol.MXN]  # index bits (psi, minus)
     psi0, minus = divmod(int(4 * draws[0]), 2)
@@ -703,19 +686,31 @@ def _coset_decode(
 # --- transcript channels ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _secret_terms(protocol: Protocol, parties: int) -> tuple[int, ...]:
+    """Each secret bit's term, party by party: the flip its coding
+    operation makes to the code, since flips compose by XOR.  On nba's
+    traveling qubit sx flips psi, sz flips minus and isy = ZX both, so
+    coding bits (b1, b2) flip (psi, minus) by (b1 ^ b2, b1).  jz's isy
+    flips the ket within its basis, and otp's key bit cancels from the
+    ciphertexts' XOR.  On mxn's labels a Z part flips x, an X part on
+    qubit i >= 1 flips y_i and one on qubit 0 all of y; party 0's bits
+    (a1, a2) carry a Z part when a1 ^ a2 and an X part when a1, and party
+    i's isy both.  So x = a1 ^ a2 ^ b_1 ^ ... ^ b_(N-1), y_i = b_i ^ a1."""
+    if protocol is Protocol.NBA:
+        return (0b11, 0b10) * 2
+    if protocol is not Protocol.MXN:
+        return (1, 1)
+    x_bit = 1 << (parties - 1)
+    return (2 * x_bit - 1, x_bit, *(x_bit | x_bit >> party for party in range(1, parties)))
+
+
 def _public_syndrome(secrets: SecretAssignment) -> int:
-    """The code every transcript of the assignment names: for jz and otp
-    alice ^ bob; for nba, with x = alice ^ bob, the (psi, minus) flip
-    (x1 ^ x2, x1), which is the index of the final label from phi+; for
-    mxn its GHZ label's index in :func:`~qdleak.qstate.all_ghz_labels`."""
-    if secrets.protocol is Protocol.MXN:
-        x, y = _label_bits(secrets)
-        return functools.reduce(lambda code, bit: code << 1 | bit, y, x)
-    alice, bob = secrets.alice, secrets.others[0]
-    if secrets.protocol is Protocol.NBA:
-        x1, x2 = alice[0] ^ bob[0], alice[1] ^ bob[1]
-        return (x1 ^ x2) << 1 | x1
-    return alice[0] ^ bob[0]
+    """The code every transcript of the assignment names, the XOR of its
+    set bits' :func:`_secret_terms`."""
+    terms = _secret_terms(secrets.protocol, secrets.num_parties)
+    bits = itertools.chain.from_iterable(secrets.full_bits)
+    return functools.reduce(operator.xor, itertools.compress(terms, bits), 0)
 
 
 def _tuple_weight(protocol: Protocol, parties: int) -> float:

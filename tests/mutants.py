@@ -69,10 +69,22 @@ MUTANTS = [
         "return symbols[index]",
     ),
     Mutant(
-        "_public_syndrome for jz returns alice's bit only",
+        "the jz and otp secret terms drop bob's bit",
         "protocols.py",
-        "    return alice[0] ^ bob[0]\n",
-        "    return alice[0]\n",
+        "        return (1, 1)\n",
+        "        return (1, 0)\n",
+    ),
+    Mutant(
+        "the nba secret terms flip minus, not psi, on a second coding bit",
+        "protocols.py",
+        "return (0b11, 0b10) * 2",
+        "return (0b11, 0b01) * 2",
+    ),
+    Mutant(
+        "the mxn secret terms drop x from parties 1..N-1",
+        "protocols.py",
+        "x_bit | x_bit >> party",
+        "x_bit >> party",
     ),
     Mutant(
         "run_mxn drops x from the last pair's minus bit",

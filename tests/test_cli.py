@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdleak
+from qdleak import cli
 from qdleak.cli import main
+from qdleak.protocols import TranscriptError
 from qdleak.qstate import StateVector, ket
 from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA
 
@@ -189,6 +191,28 @@ def test_negative_seed_is_a_usage_error(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "--seed" in err
+
+
+@pytest.mark.parametrize(
+    "target, argv",
+    [
+        ("leakage_report", ["analyze", "--protocol", "nba"]),
+        (
+            "run_nba",
+            ["run", "--protocol", "nba", "--alice", "01", "--bob", "10", "--initial", "phi+"],
+        ),
+    ],
+)
+def test_inconsistent_protocol_data_exits_1(capsys, monkeypatch, target, argv):
+    """A TranscriptError raised inside a command ends in exit 1, not the
+    usage exit 2, with one error line and nothing on stdout."""
+
+    def inconsistent(*args, **kwargs):
+        raise TranscriptError("inconsistent transcript")
+
+    monkeypatch.setattr(cli, target, inconsistent)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: inconsistent transcript\n")
 
 
 # Each flag with values that make sense for some subcommand; --parties stays

@@ -488,6 +488,55 @@ def test_leakage_report_matches_the_coset_oracle(protocol, parties):
 
 
 @pytest.mark.parametrize(
+    "protocol, parties, contexts",
+    [
+        (Protocol.NBA, 2, [None]),
+        (Protocol.JZ, 2, ["Z", "X"]),
+        (Protocol.OTP, 2, [None]),
+        *((Protocol.MXN, n, [None]) for n in range(2, 7)),
+    ],
+)
+def test_secret_terms_are_the_coset_oracle_map(protocol, parties, contexts):
+    """Each secret bit's term is the code the oracle's linear map gives the
+    assignment with only that bit set, in either jz preparation basis."""
+    assignments, _, public, _ = coset_oracle._spec(protocol, parties)
+    units = sorted(
+        (s for s in assignments if sum(coset_oracle._flat(s)) == 1),
+        key=lambda s: coset_oracle._flat(s).index(1),
+    )
+    for context in contexts:
+        oracle = tuple(int(protocols.bits_to_str(public(s, context)), 2) for s in units)
+        assert protocols._secret_terms(protocol, parties) == oracle
+
+
+def gf2_rank(rows):
+    """The rank over GF(2) of rows given as ints, by elimination: each
+    nonzero pivot clears its lowest set bit from the rows left."""
+    rows, rank = list(rows), 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [row ^ pivot if row & low else row for row in rows]
+    return rank
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [(Protocol.NBA, None), (Protocol.JZ, None), (Protocol.OTP, None)]
+    + [(Protocol.MXN, n) for n in MXN_PARTIES],
+)
+def test_secret_term_rank_is_the_leak(protocol, parties):
+    """The audit leaks as many bits as the secret-term table's rank over
+    GF(2), the dimension of the codes the secrets publish."""
+    terms = protocols._secret_terms(protocol, protocols.party_count(protocol, parties))
+    # Within 1e-9 while the mxn tuple weight is the engine's float; with an
+    # exact weight this holds with ==.
+    assert abs(leakage_report(protocol, parties).leaked_bits - gf2_rank(terms)) <= 1e-9
+
+
+@pytest.mark.parametrize(
     "protocol, parties",
     [
         (Protocol.NBA, None),

@@ -54,8 +54,12 @@ def test_state_vector_validates_shape_and_norm():
         StateVector([1.0, 0.0, 0.0])
     with pytest.raises(ValueError):
         StateVector([1.0, 1.0])
+    # a normalized 13-qubit state, refused by the cap rather than the norm
+    with pytest.raises(ValueError, match="exceeds the supported maximum"):
+        StateVector(np.eye(1, 2**13)[0])
     with pytest.raises(ValueError):
-        StateVector(np.zeros(2**13))
+        all_ghz_labels(13)
+    assert StateVector(np.eye(1, 2**12)[0]).num_qubits == 12
 
 
 def test_state_vector_is_immutable():
