@@ -4,6 +4,8 @@ The three protocols share one shape: one party prepares a quantum resource,
 ships part of it around, every party encodes its secret bits with local
 Pauli-alphabet operations on the traveling qubits, and a final measurement
 plus the public announcements let each party decode everyone else's bits.
+Each party's operation is the one its bits select in its protocol's coding
+table, which :func:`coding_ops` reads for every party at once.
 Each protocol also has its transcript channel here, P(announced | secrets),
 read one column at a time: :func:`channel_column` gives every assignment
 that can produce one announced tuple, with its probability.  Every
@@ -116,6 +118,7 @@ from .qstate import (
     ghz_label_of,
     ghz_state,
     is_bit,
+    is_int,
     project_bell,
     tensor,
 )
@@ -157,12 +160,6 @@ def as_bits(value: BitsLike, width: int) -> Bits:
     return tuple(int(b) for b in seq)
 
 
-def _check_bit(value) -> int:
-    if not is_bit(value):
-        raise ValueError(f"expected a bit 0 or 1, got {value!r}")
-    return value
-
-
 def bits_to_str(bits: Iterable[int]) -> str:
     return "".join(str(b) for b in bits)
 
@@ -190,15 +187,10 @@ def party_count(
     counts = _SECRET_SHAPE[protocol][2]
     if parties is None and len(counts) == 1:
         return counts[0]
-    if not _is_int(parties) or parties not in counts:
+    if not is_int(parties) or parties not in counts:
         span = f"{counts[0]}..{counts[-1]}" if len(counts) > 1 else counts[0]
         raise error(f"{protocol.text} takes {span} parties, got {parties!r}")
     return int(parties)
-
-
-def _is_int(value) -> bool:
-    """True for a Python or numpy int; bools and floats are refused."""
-    return type(value) is int or isinstance(value, np.integer)
 
 
 def _check_mxn_parties(parties: int | None, what: str = "audits") -> int:
@@ -328,38 +320,33 @@ class RunRecord:
 
 # --- coding alphabets ---------------------------------------------------
 
-_NBA_OP_FOR_BITS = {
-    (0, 0): PauliOp.I,
-    (0, 1): PauliOp.SX,
-    (1, 0): PauliOp.ISY,
-    (1, 1): PauliOp.SZ,
+# The one-bit coding of jz's parties and mxn's parties 1..N-1.
+_FLIP_OPS = {(0,): PauliOp.I, (1,): PauliOp.ISY}
+
+# Each protocol's coding: party 0's map from its bits to its operation,
+# then the map every other party uses.  mxn's party 0 deliberately does not
+# use nba's order: the two protocols fix different bit meanings for sx and
+# sz.  otp codes classically and has no entry.
+_CODING_OPS = {
+    Protocol.NBA: 2 * (
+        {(0, 0): PauliOp.I, (0, 1): PauliOp.SX, (1, 0): PauliOp.ISY, (1, 1): PauliOp.SZ},
+    ),
+    Protocol.JZ: (_FLIP_OPS, _FLIP_OPS),
+    Protocol.MXN: (
+        {(0, 0): PauliOp.I, (0, 1): PauliOp.SZ, (1, 0): PauliOp.ISY, (1, 1): PauliOp.SX},
+        _FLIP_OPS,
+    ),
 }
-_MXN_ALICE_OP_FOR_BITS = {
-    (0, 0): PauliOp.I,
-    (0, 1): PauliOp.SZ,
-    (1, 0): PauliOp.ISY,
-    (1, 1): PauliOp.SX,
-}
-_FLIP_OP_FOR_BIT = {0: PauliOp.I, 1: PauliOp.ISY}
 
 
-def nba_op_for_bits(bits: Bits) -> PauliOp:
-    """Two-bit NBA coding: 00->I, 01->sx, 10->isy, 11->sz."""
-    return _NBA_OP_FOR_BITS[as_bits(bits, 2)]
-
-
-def mxn_alice_op_for_bits(bits: Bits) -> PauliOp:
-    """Party 0's MXN coding: 00->I, 01->sz, 10->isy, 11->sx.
-
-    Deliberately not the NBA order; the two protocols fix different bit
-    meanings for sx and sz.
-    """
-    return _MXN_ALICE_OP_FOR_BITS[as_bits(bits, 2)]
-
-
-def flip_op_for_bit(bit: int) -> PauliOp:
-    """One-bit coding shared by JZ and MXN parties 1..N-1: 0->I, 1->isy."""
-    return _FLIP_OP_FOR_BIT[_check_bit(bit)]
+def coding_ops(secrets: SecretAssignment) -> tuple[PauliOp, ...]:
+    """Each party's coding operation, in party order, from its bits by the
+    protocol's coding table; otp, which has none, is a ValueError."""
+    maps = _CODING_OPS.get(secrets.protocol)
+    if maps is None:
+        raise ValueError(f"{secrets.protocol.text} has no coding operations")
+    first, rest = maps
+    return (first[secrets.alice], *(rest[bits] for bits in secrets.others))
 
 
 # --- NBA and JZ ---------------------------------------------------------
@@ -416,41 +403,15 @@ def nba_decode(own: Bits, initial: BellLabel, final: BellLabel) -> Bits:
     return _coset_decode(Transcript(Protocol.NBA, (initial, final)), [(0, own)])[0][1]
 
 
-def nba_consistent_pairs(
-    initial: BellLabel, final: BellLabel
-) -> tuple[tuple[Bits, Bits], ...]:
-    """All (alice bits, bob bits) pairs producing ``final`` from
-    ``initial``, ordered by alice's bits: the coset the labels name."""
-    _, coset, _ = named_coset(Transcript(Protocol.NBA, (initial, final)))
-    return tuple((secrets.alice, secrets.others[0]) for secrets in coset)
-
-
 def jz_decode(own: int, initial: str, outcome: str) -> int:
     """Counterpart's bit: one's own bit XOR the public alice ^ bob, read
     from the coset the kets name, as :func:`nba_decode` reads it."""
-    own = _check_bit(own)
+    own = as_bits([own], 1)
     transcript = Transcript(Protocol.JZ, (initial, outcome))
-    return _coset_decode(transcript, [(0, (own,))])[0][1][0]
+    return _coset_decode(transcript, [(0, own)])[0][1][0]
 
 
 # --- MXN ----------------------------------------------------------------
-
-
-def mxn_ops_for_secrets(secrets: SecretAssignment) -> tuple[PauliOp, ...]:
-    """The per-party operation tuple encoding an MXN assignment."""
-    if secrets.protocol is not Protocol.MXN:
-        raise ValueError("needs MXN secrets")
-    return (
-        mxn_alice_op_for_bits(secrets.alice),
-        *(flip_op_for_bit(b[0]) for b in secrets.others),
-    )
-
-
-def two_party_ops(secrets: SecretAssignment) -> tuple[PauliOp, PauliOp]:
-    """The (alice, bob) operations encoding an NBA or JZ assignment."""
-    if secrets.protocol is Protocol.NBA:
-        return nba_op_for_bits(secrets.alice), nba_op_for_bits(secrets.others[0])
-    return flip_op_for_bit(secrets.alice[0]), flip_op_for_bit(secrets.others[0][0])
 
 
 def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
@@ -488,7 +449,7 @@ def mxn_encoded_state(secrets: SecretAssignment) -> StateVector:
     n = secrets.num_parties
     home = ghz_state(GhzLabel(0, (0,) * (n - 1)))
     state = tensor(home, home)
-    for party, op in enumerate(mxn_ops_for_secrets(secrets)):
+    for party, op in enumerate(coding_ops(secrets)):
         state = apply_pauli(state, n + party, op)
     return state
 
@@ -643,7 +604,7 @@ def mxn_decode(party: int, own: Bits, transcript: Transcript) -> dict[int, Bits]
     if transcript.protocol is not Protocol.MXN:
         raise TranscriptError("mxn_decode needs an MXN transcript")
     n = _check_mxn_parties(len(transcript.announced), "decodings")
-    if not _is_int(party) or not 0 <= party < n:
+    if not is_int(party) or not 0 <= party < n:
         raise ValueError(f"party {party!r} out of range for {n} parties")
     own = as_bits(own, 2 if party == 0 else 1)
     return _coset_decode(transcript, [(party, own)])[0]

@@ -32,11 +32,16 @@ MAX_QUBITS = 12
 KET_LABELS = ("0", "1", "+", "-")
 
 
+def is_int(value) -> bool:
+    """True for a Python or numpy int.  Bools and floats are refused: they
+    compare equal to ints but render as "True"/"False" or "1.0" in labels
+    and bit strings, and a float does not XOR."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def is_bit(value) -> bool:
-    """True for the ints 0 and 1, Python or numpy.  Bools and floats are
-    refused: they compare equal to 0 and 1 but render as "True"/"False" or
-    "1.0" in labels and bit strings, and a float does not XOR."""
-    return (type(value) is int or isinstance(value, np.integer)) and value in (0, 1)
+    """True for the ints 0 and 1, Python or numpy, by :func:`is_int`."""
+    return is_int(value) and value in (0, 1)
 
 
 def make_rng(seed: int) -> np.random.Generator:

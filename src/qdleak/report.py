@@ -23,11 +23,9 @@ from .protocols import (
     RunRecord,
     Transcript,
     bits_to_str,
+    coding_ops,
     mxn_label,
-    mxn_ops_for_secrets,
-    nba_consistent_pairs,
-    nba_op_for_bits,
-    two_party_ops,
+    named_coset,
 )
 from .qstate import BellLabel
 
@@ -300,16 +298,18 @@ def _f(x: float) -> str:
 
 def operation_table_text(initial: BellLabel = BellLabel.PSI_PLUS) -> str:
     """The coding table: for each final Bell result, the (alice, bob)
-    operation pairs that produce it, as op/bits cells ordered by alice."""
+    codings that produce it, the coset the labels name, as op/bits cells
+    ordered by alice."""
     lines = [
         f"operation table (initial {initial.text}): (alice, bob) codings per final result"
     ]
     for final in BellLabel:
+        _, coset, _ = named_coset(Transcript(Protocol.NBA, (initial, final)))
         cells = []
-        for alice_bits, bob_bits in nba_consistent_pairs(initial, final):
-            a_op = nba_op_for_bits(alice_bits).text
-            b_op = nba_op_for_bits(bob_bits).text
-            cells.append(f"({a_op}/{bits_to_str(alice_bits)}, {b_op}/{bits_to_str(bob_bits)})")
+        for secrets in coset:
+            ops = coding_ops(secrets)
+            codings = [f"{op.text}/{bits_to_str(b)}" for op, b in zip(ops, secrets.full_bits)]
+            cells.append(f"({', '.join(codings)})")
         lines.append(f"{final.text:<5} {'  '.join(cells)}")
     return "\n".join(lines)
 
@@ -349,13 +349,10 @@ def run_text(record: RunRecord, seed: int | None = None, verbose: bool = False) 
     )
     lines.append(f"secrets: {secrets}")
     lines.append(f"transcript: {' '.join(announced_text(record.transcript))}")
-    if verbose and protocol is Protocol.MXN:
-        ops = mxn_ops_for_secrets(record.secrets)
-        lines.append(f"operations: {' '.join(op.text for op in ops)}")
-        lines.append(f"encoded: {mxn_label(record.secrets).text}")
-    if verbose and protocol is not Protocol.MXN:
-        ops = two_party_ops(record.secrets)
-        lines.append(f"operations: {' '.join(op.text for op in ops)}")
+    if verbose:
+        lines.append(f"operations: {' '.join(op.text for op in coding_ops(record.secrets))}")
+        if protocol is Protocol.MXN:
+            lines.append(f"encoded: {mxn_label(record.secrets).text}")
     for i in range(n):
         recovered = " ".join(
             f"{party_name(j)}={bits_to_str(bits)}"

@@ -93,6 +93,24 @@ MUTANTS = [
         "<< 1 | minus]",
     ),
     Mutant(
+        "mxn party 0 codes 01 with sx, not sz",
+        "protocols.py",
+        "(0, 1): PauliOp.SZ",
+        "(0, 1): PauliOp.SX",
+    ),
+    Mutant(
+        "nba codes 01 with sz, not sx",
+        "protocols.py",
+        "(0, 1): PauliOp.SX",
+        "(0, 1): PauliOp.SZ",
+    ),
+    Mutant(
+        "the one-bit flip codes 1 with sx, not isy",
+        "protocols.py",
+        "(1,): PauliOp.ISY",
+        "(1,): PauliOp.SX",
+    ),
+    Mutant(
         "the two-party tuple weight is off by 1e-10",
         "protocols.py",
         "return 1 / len(ANNOUNCED_SYMBOLS[protocol])",

@@ -25,10 +25,10 @@ from qdleak.protocols import (
     Protocol,
     Transcript,
     all_secret_assignments,
+    coding_ops,
     deduce_ghz_from_bells,
     ghz_after_ops,
     mxn_encoded_state,
-    mxn_ops_for_secrets,
     paired_bell_distribution,
     run_jz,
     run_mxn,
@@ -176,7 +176,7 @@ def test_criterion_8_swapping_oracle(criterion):
             # round trip: each op tuple's encoded state is (a phase of) its
             # label's doubled state, so it induces exactly those outcomes
             for secrets in all_secret_assignments(Protocol.MXN, parties):
-                ops = mxn_ops_for_secrets(secrets)
+                ops = coding_ops(secrets)
                 label = ghz_after_ops(ops)
                 assert equal_up_to_phase(
                     mxn_encoded_state(secrets), tensor(home, ghz_state(label))

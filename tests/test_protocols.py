@@ -27,8 +27,8 @@ from qdleak.protocols import (
     as_bits,
     bits_to_str,
     channel_column,
+    coding_ops,
     deduce_ghz_from_bells,
-    flip_op_for_bit,
     ghz_after_ops,
     jz_decode,
     jz_outcome_label,
@@ -36,13 +36,10 @@ from qdleak.protocols import (
     mxn_decode,
     mxn_encoded_state,
     mxn_label,
-    mxn_ops_for_secrets,
     mxn_secrets,
     named_coset,
-    nba_consistent_pairs,
     nba_decode,
     nba_final_label,
-    nba_op_for_bits,
     nba_secrets,
     otp_secrets,
     paired_bell_distribution,
@@ -395,32 +392,44 @@ def test_label_code_is_the_bitwise_formula(parties):
 # --- coding alphabets --------------------------------------------------
 
 
-def test_two_bit_alphabets_differ_as_documented():
-    assert nba_op_for_bits((0, 1)) is PauliOp.SX
-    assert nba_op_for_bits((1, 1)) is PauliOp.SZ
-    assert [nba_op_for_bits(b) for b in BIT_PAIRS] == [
-        PauliOp.I,
-        PauliOp.SX,
-        PauliOp.ISY,
-        PauliOp.SZ,
-    ]
-    from qdleak.protocols import mxn_alice_op_for_bits
+# The README's coding alphabets, in bit order 00, 01, 10, 11 (or 0, 1).
+NBA_OPS = (PauliOp.I, PauliOp.SX, PauliOp.ISY, PauliOp.SZ)
+MXN_PARTY0_OPS = (PauliOp.I, PauliOp.SZ, PauliOp.ISY, PauliOp.SX)
+FLIP_OPS = (PauliOp.I, PauliOp.ISY)
 
-    assert [mxn_alice_op_for_bits(b) for b in BIT_PAIRS] == [
-        PauliOp.I,
-        PauliOp.SZ,
-        PauliOp.ISY,
-        PauliOp.SX,
-    ]
-    assert flip_op_for_bit(0) is PauliOp.I
-    assert flip_op_for_bit(1) is PauliOp.ISY
+
+def test_two_bit_alphabets_differ_as_documented():
+    for (i, a), (j, b) in itertools.product(enumerate(BIT_PAIRS), repeat=2):
+        assert coding_ops(nba_secrets(a, b)) == (NBA_OPS[i], NBA_OPS[j])
+        assert coding_ops(mxn_secrets(a, b)) == (
+            MXN_PARTY0_OPS[i],
+            FLIP_OPS[b[0]],
+            FLIP_OPS[b[1]],
+        )
+    for a, b in itertools.product((0, 1), repeat=2):
+        assert coding_ops(jz_secrets(a, b)) == (FLIP_OPS[a], FLIP_OPS[b])
+
+
+def test_otp_has_no_coding_ops():
+    with pytest.raises(ValueError) as exc:
+        coding_ops(otp_secrets(0, 1))
+    assert exc.type is ValueError
 
 
 @pytest.mark.parametrize("bit", [2, "1", True, -1])
-def test_flip_op_for_bit_rejects_non_bits(bit):
-    with pytest.raises(ValueError) as exc:
-        flip_op_for_bit(bit)
-    assert exc.type is ValueError
+def test_one_bit_secrets_reject_non_bits(bit):
+    """A one-bit party's bit reaches the coding table only through an
+    assignment, which refuses anything but the ints 0 and 1.  mxn also
+    takes a party's bits as a string, so the bare value goes in a list."""
+    for call in (
+        lambda: jz_secrets(bit, 0),
+        lambda: jz_secrets(0, bit),
+        lambda: mxn_secrets("00", [[bit], 0]),
+        lambda: jz_decode(bit, "0", "1"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert exc.type is ValueError
 
 
 # --- NBA ---------------------------------------------------------------
@@ -430,9 +439,10 @@ def engine_nba_final_label(alice, bob, initial):
     """Engine reference: encode bob's then alice's bits on qubit 1 of the
     initial Bell pair and measure in the Bell basis; the alphabet maps Bell
     rays to Bell rays, so exactly one outcome has probability 1."""
+    alice_op, bob_op = coding_ops(nba_secrets(alice, bob))
     state = bell_state(initial)
-    state = apply_pauli(state, 1, nba_op_for_bits(bob))
-    state = apply_pauli(state, 1, nba_op_for_bits(alice))
+    state = apply_pauli(state, 1, bob_op)
+    state = apply_pauli(state, 1, alice_op)
     outcomes = project_bell(state, (0, 1))
     if len(outcomes) != 1 or abs(outcomes[0].probability - 1.0) > ATOL:
         raise RuntimeError(f"nba final measurement not deterministic: {outcomes!r}")
@@ -443,9 +453,10 @@ def engine_jz_outcome_label(alice, bob, initial):
     """Engine reference: encode bob's then alice's flip on the initial ket
     and measure in its preparation basis, which must give one outcome with
     probability 1."""
+    alice_op, bob_op = coding_ops(jz_secrets(alice, bob))
     state = ket(initial)
-    state = apply_pauli(state, 0, flip_op_for_bit(bob))
-    state = apply_pauli(state, 0, flip_op_for_bit(alice))
+    state = apply_pauli(state, 0, bob_op)
+    state = apply_pauli(state, 0, alice_op)
     for candidate in basis_labels_of(initial):
         prob = float(abs(np.vdot(ket(candidate).amplitudes, state.amplitudes)) ** 2)
         if abs(prob - 1.0) <= ATOL:
@@ -475,7 +486,7 @@ PSI_PLUS = BellLabel.PSI_PLUS
     [
         (lambda: nba_decode((0, 0), "psi+", PSI_PLUS), TranscriptError),
         (lambda: nba_final_label((0, 0), (0, 1), "psi+"), TranscriptError),
-        (lambda: nba_consistent_pairs(PSI_PLUS, "phi-"), TranscriptError),
+        (lambda: named_coset(Transcript(Protocol.NBA, (PSI_PLUS, "phi-"))), TranscriptError),
         (lambda: nba_final_label((0, 2), (0, 1), PSI_PLUS), ValueError),
         (lambda: nba_decode((True, 0), PSI_PLUS, BellLabel.PHI_PLUS), ValueError),
         (lambda: nba_final_label((True, 0), (0, 1), PSI_PLUS), ValueError),
@@ -534,9 +545,9 @@ def test_nba_round_trip_is_exhaustive():
             assert record.decoded[1] == {0: secrets.alice}
 
 
-def test_nba_consistent_pairs_match_frozen_table():
-    """The four-possibility sets per final result from initial psi+,
-    ordered by alice's bits (frozen from the oracle run)."""
+def test_named_nba_cosets_match_frozen_table():
+    """The four (alice, bob) possibilities per final result from initial
+    psi+, ordered by alice's bits (frozen from the oracle run)."""
     rows = {
         BellLabel.PHI_PLUS: (((0, 0), (0, 1)), ((0, 1), (0, 0)), ((1, 0), (1, 1)), ((1, 1), (1, 0))),
         BellLabel.PHI_MINUS: (((0, 0), (1, 0)), ((0, 1), (1, 1)), ((1, 0), (0, 0)), ((1, 1), (0, 1))),
@@ -544,7 +555,8 @@ def test_nba_consistent_pairs_match_frozen_table():
         BellLabel.PSI_MINUS: (((0, 0), (1, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1)), ((1, 1), (0, 0))),
     }
     for final, expected in rows.items():
-        assert nba_consistent_pairs(BellLabel.PSI_PLUS, final) == expected
+        _, coset, _ = named_coset(Transcript(Protocol.NBA, (BellLabel.PSI_PLUS, final)))
+        assert tuple((secrets.alice, secrets.others[0]) for secrets in coset) == expected
 
 
 def test_every_run_and_decoder_reads_the_coset_once(monkeypatch):
@@ -637,7 +649,7 @@ def test_encoding_map_is_two_to_one(parties):
     seen = {}
     count = 0
     for secrets in all_secret_assignments(Protocol.MXN, parties):
-        label = ghz_after_ops(mxn_ops_for_secrets(secrets))
+        label = ghz_after_ops(coding_ops(secrets))
         seen.setdefault(label, []).append(secrets)
         count += 1
     assert count == 2 ** (parties + 1)
@@ -655,7 +667,7 @@ def test_encoding_map_is_two_to_one(parties):
 @pytest.mark.parametrize("parties", [2, 3, 4, 5, 6])
 def test_mxn_label_is_the_engine_encoding(parties):
     for secrets in all_secret_assignments(Protocol.MXN, parties):
-        assert mxn_label(secrets) == ghz_after_ops(mxn_ops_for_secrets(secrets))
+        assert mxn_label(secrets) == ghz_after_ops(coding_ops(secrets))
 
 
 # --- MXN: swapping and deduction ---------------------------------------

@@ -22,6 +22,7 @@ from qdleak.protocols import (
     MXN_PARTIES,
     Protocol,
     all_secret_assignments,
+    bits_to_str,
     jz_secrets,
     mxn_secrets,
     nba_secrets,
@@ -282,22 +283,55 @@ def test_run_document_contents():
     assert doc["decoded"][1] == {"party": "bob", "recovered": {"alice": "10"}}
 
 
-def test_operation_table_psi_minus_row():
+# The README's coding alphabets: nba's for both parties, mxn's for party
+# 0, and the one-bit flip of jz's parties and mxn's parties 1..N-1.
+README_NBA_OPS = {"00": "i", "01": "sx", "10": "isy", "11": "sz"}
+README_MXN_PARTY0_OPS = {"00": "i", "01": "sz", "10": "isy", "11": "sx"}
+README_FLIP_OPS = {"0": "i", "1": "isy"}
+
+
+def test_operation_table_rows():
+    """From initial psi+, a final result fixes alice ^ bob: 01 for phi+,
+    10 for phi-, 00 for psi+ and 11 for psi-; each row lists alice's four
+    codings in bit order, each beside bob's."""
     lines = operation_table_text().splitlines()
     assert len(lines) == 5
-    by_final = {line.split()[0]: line for line in lines[1:]}
-    assert by_final["psi-"].split(None, 1)[1].split("  ") == [
-        "(i/00, sz/11)",
-        "(sx/01, isy/10)",
-        "(isy/10, sx/01)",
-        "(sz/11, i/00)",
-    ]
-    assert by_final["psi+"].split(None, 1)[1].split("  ") == [
-        "(i/00, i/00)",
-        "(sx/01, sx/01)",
-        "(isy/10, isy/10)",
-        "(sz/11, sz/11)",
-    ]
+    xors = {"phi+": 0b01, "phi-": 0b10, "psi+": 0b00, "psi-": 0b11}
+    assert [line.split()[0] for line in lines[1:]] == list(xors)
+    for line in lines[1:]:
+        final, cells = line.split(None, 1)
+        expected = []
+        for alice in range(4):
+            a, b = f"{alice:02b}", f"{alice ^ xors[final]:02b}"
+            expected.append(f"({README_NBA_OPS[a]}/{a}, {README_NBA_OPS[b]}/{b})")
+        assert cells.split("  ") == expected
+
+
+def verbose_operations(record):
+    lines = run_text(record, verbose=True).splitlines()
+    return [line for line in lines if line.startswith("operations:")]
+
+
+def test_run_text_verbose_operations():
+    """One operations line per verbose run, every party's coding in party
+    order, for every nba, jz and three-party mxn assignment."""
+    for secrets in all_secret_assignments(Protocol.NBA):
+        a, b = (bits_to_str(bits) for bits in secrets.full_bits)
+        record = run_nba(secrets, BellLabel.PSI_PLUS)
+        assert verbose_operations(record) == [
+            f"operations: {README_NBA_OPS[a]} {README_NBA_OPS[b]}"
+        ]
+    for secrets in all_secret_assignments(Protocol.JZ):
+        a, b = (bits_to_str(bits) for bits in secrets.full_bits)
+        record = run_jz(secrets, "+")
+        assert verbose_operations(record) == [
+            f"operations: {README_FLIP_OPS[a]} {README_FLIP_OPS[b]}"
+        ]
+    for secrets in all_secret_assignments(Protocol.MXN, 3):
+        a, *others = (bits_to_str(bits) for bits in secrets.full_bits)
+        ops = [README_MXN_PARTY0_OPS[a], *(README_FLIP_OPS[o] for o in others)]
+        record = run_mxn(secrets, make_rng(7))
+        assert verbose_operations(record) == [f"operations: {' '.join(ops)}"]
 
 
 def test_leakage_text_contains_totals_and_table():
