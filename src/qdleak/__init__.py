@@ -60,7 +60,6 @@ from .leakage import (
     CosetLeakage,
     LeakageReport,
     Posterior,
-    TranscriptLeakage,
     eve_posterior,
     jz_otp_equivalence,
     leakage_report,
@@ -86,7 +85,6 @@ __all__ = [
     "StateVector",
     "Transcript",
     "TranscriptError",
-    "TranscriptLeakage",
     "all_ghz_labels",
     "all_secret_assignments",
     "apply_pauli",

@@ -24,9 +24,10 @@ Leakage is quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
 
-Reports carry both the per-transcript view and the ensemble average.  For
-these protocols the per-transcript entropy is the same for every reachable
-transcript, so the two coincide; tests assert this rather than assuming it.
+A report carries each coset's numbers, one entry per reachable transcript
+naming its coset, and the ensemble average.  For these protocols every
+coset has the same entropy, so a transcript's leak and the average
+coincide; tests assert this rather than assuming it.
 
 The classical reference point OTP (two parties XOR-ing their plaintext bits
 with one shared, reused key bit and announcing the ciphertexts) gets the
@@ -196,17 +197,6 @@ def jz_otp_equivalence(initial: str, outcome: str) -> bool:
 
 
 @dataclass(frozen=True)
-class TranscriptLeakage:
-    """Leakage numbers for a single transcript."""
-
-    transcript: Transcript
-    probability: float
-    posterior: Posterior
-    entropy_bits: float
-    leaked_bits: float
-
-
-@dataclass(frozen=True)
 class CosetLeakage:
     """Leakage numbers for one coset: the probability that a transcript
     names it, and the posterior every such transcript leaves."""
@@ -226,9 +216,8 @@ class LeakageReport:
     reachable transcript, in audit order, as (its symbols' indices into
     :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS`, the index of the coset it
     names); the constructor refuses an entry that is not such a pair, and a
-    party count the protocol does not take.
-    ``per_transcript`` spells the entries out one validated
-    :class:`~qdleak.protocols.Transcript` each."""
+    party count the protocol does not take or, for mxn, one outside
+    :data:`~qdleak.protocols.MXN_PARTIES`."""
 
     protocol: Protocol
     parties: int | None
@@ -240,6 +229,8 @@ class LeakageReport:
 
     def __post_init__(self):
         width = party_count(self.protocol, self.parties)
+        if self.protocol is Protocol.MXN:
+            _check_mxn_parties(width)
         symbols = len(ANNOUNCED_SYMBOLS[self.protocol])
         # set inclusion also refuses negative indices, which would
         # otherwise count from the end
@@ -253,22 +244,6 @@ class LeakageReport:
                 f"{self.protocol.text} report entries need {width} symbol indices"
                 f" in 0..{symbols - 1} and a coset index in 0..{len(self.cosets) - 1}"
             )
-
-    @property
-    def per_transcript(self) -> tuple[TranscriptLeakage, ...]:
-        """Every entry with its own transcript and its coset's numbers."""
-        symbols = ANNOUNCED_SYMBOLS[self.protocol]
-        return tuple(
-            TranscriptLeakage(
-                Transcript(self.protocol, tuple(symbols[i] for i in indices)),
-                c.probability,
-                c.posterior,
-                c.entropy_bits,
-                c.leaked_bits,
-            )
-            for indices, coset in self.entries
-            for c in (self.cosets[coset],)
-        )
 
 
 def leakage_report(protocol: Protocol, parties: int | None = None) -> LeakageReport:

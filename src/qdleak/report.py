@@ -54,9 +54,12 @@ def _posterior_doc(posterior: Posterior) -> list[dict[str, Any]]:
 
 
 def leakage_document(report: LeakageReport) -> dict[str, Any]:
+    """The audit as a plain dict, one transcript per entry: its symbols'
+    texts, and its coset's numbers and posterior."""
     params: dict[str, Any] = {}
     if report.parties is not None:
         params["parties"] = report.parties
+    symbols = [_BELL_TEXTS.get(s, s) for s in ANNOUNCED_SYMBOLS[report.protocol]]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "leakage-report",
@@ -69,13 +72,14 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
         },
         "transcripts": [
             {
-                "announced": announced_text(entry.transcript),
-                "probability": entry.probability,
-                "entropy_bits": entry.entropy_bits,
-                "leaked_bits": entry.leaked_bits,
-                "posterior": _posterior_doc(entry.posterior),
+                "announced": [symbols[i] for i in indices],
+                "probability": c.probability,
+                "entropy_bits": c.entropy_bits,
+                "leaked_bits": c.leaked_bits,
+                "posterior": _posterior_doc(c.posterior),
             }
-            for entry in report.per_transcript
+            for indices, coset in report.entries
+            for c in (report.cosets[coset],)
         ],
     }
 
@@ -296,10 +300,11 @@ def _f(x: float) -> str:
     return f"{x:.9f}"
 
 
-def operation_table_text(initial: BellLabel = BellLabel.PSI_PLUS) -> str:
+def operation_table_text() -> str:
     """The coding table: for each final Bell result, the (alice, bob)
-    codings that produce it, the coset the labels name, as op/bits cells
-    ordered by alice."""
+    codings that produce it from psi+, the coset the labels name, as
+    op/bits cells ordered by alice."""
+    initial = BellLabel.PSI_PLUS
     lines = [
         f"operation table (initial {initial.text}): (alice, bob) codings per final result"
     ]

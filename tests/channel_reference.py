@@ -7,7 +7,8 @@ audit built from all 2^(N+1) rows at once: a likelihood table keyed by
 announced tuple, sorted by the symbols' texts, with one entry per
 transcript.  Tests hold ``qdleak.protocols.channel_column`` and
 ``qdleak.leakage.leakage_report``, which read one column per announced
-tuple and one posterior per coset, to these.
+tuple and one posterior per coset, to these; ``spelled_entries`` spells a
+report's entries out in the reference's shape.
 
 An mxn row is the engine walk of its GHZ label (``_label_row``).
 ``exact_mxn_law`` is a second, independent reference for it: the same law
@@ -24,8 +25,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qdleak.leakage import Posterior, TranscriptLeakage
+from qdleak.leakage import CosetLeakage, LeakageReport, Posterior
 from qdleak.protocols import (
+    ANNOUNCED_SYMBOLS,
     Protocol,
     SecretAssignment,
     Transcript,
@@ -141,11 +143,22 @@ def _announced_sort_key(announced: tuple):
     )
 
 
+def spelled_entries(report: LeakageReport) -> tuple[tuple[Transcript, CosetLeakage], ...]:
+    """Each entry of a report as a validated Transcript and the numbers of
+    the coset it names."""
+    symbols = ANNOUNCED_SYMBOLS[report.protocol]
+    return tuple(
+        (Transcript(report.protocol, tuple(symbols[i] for i in indices)), report.cosets[k])
+        for indices, k in report.entries
+    )
+
+
 def reference_leakage_report(
     protocol: Protocol, parties: int | None = None
-) -> tuple[tuple[TranscriptLeakage, ...], tuple[int, float, float]]:
-    """The audit from every row, a likelihood table, sorted: one entry
-    per transcript, and the total, secure and leaked bits."""
+) -> tuple[tuple[tuple[Transcript, CosetLeakage], ...], tuple[int, float, float]]:
+    """The audit from every row, a likelihood table, sorted: one
+    (transcript, numbers) entry per transcript, and the total, secure and
+    leaked bits."""
     if protocol is Protocol.MXN:
         _check_mxn_parties(parties)
     elif parties not in (None, 2):
@@ -169,13 +182,10 @@ def reference_leakage_report(
         posterior = Posterior.from_weights(weights.items())
         entropy = posterior.entropy_bits
         entries.append(
-            TranscriptLeakage(
+            (
                 Transcript(protocol, announced),
-                probability,
-                posterior,
-                entropy,
-                total - entropy,
+                CosetLeakage(probability, posterior, entropy, total - entropy),
             )
         )
-    secure = sum(e.probability * e.entropy_bits for e in entries)
+    secure = sum(c.probability * c.entropy_bits for _, c in entries)
     return tuple(entries), (total, secure, total - secure)

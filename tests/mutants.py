@@ -129,6 +129,12 @@ MUTANTS = [
         "SUM_TOLERANCE = 1e-3",
     ),
     Mutant(
+        "leakage_document reads the neighbouring coset",
+        "report.py",
+        "report.cosets[coset]",
+        "report.cosets[coset - 1]",
+    ),
+    Mutant(
         "leakage_json writes infinities as Python does",
         "report.py",
         "type(x) is float and math.isfinite(x)",

@@ -50,6 +50,8 @@ from qdleak.qstate import (
     apply_pauli,
 )
 
+from channel_reference import spelled_entries
+
 TOL = 1e-9
 
 
@@ -142,10 +144,10 @@ def test_criterion_6_mxn_three_party(criterion, capsys):
         assert abs(doc["totals"]["leaked_bits"] - 3.0) <= TOL
         target = GhzLabel(1, (0, 1))
         hits = 0
-        for entry in leakage_report(Protocol.MXN, 3).per_transcript:
-            if deduce_ghz_from_bells(entry.transcript.announced) == {target}:
+        for transcript, coset in spelled_entries(leakage_report(Protocol.MXN, 3)):
+            if deduce_ghz_from_bells(transcript.announced) == {target}:
                 hits += 1
-                support = {s.full_bits for s in entry.posterior.support}
+                support = {s.full_bits for s in coset.posterior.support}
                 assert support == {((0, 0), (0,), (1,)), ((1, 1), (1,), (0,))}
         assert hits == 8
 

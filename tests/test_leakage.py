@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from qdleak import leakage, protocols
 from qdleak.leakage import (
     Posterior,
-    TranscriptLeakage,
     eve_posterior,
     jz_otp_equivalence,
     leakage_report,
@@ -52,10 +51,10 @@ from qdleak.protocols import (
     run_nba,
 )
 from qdleak.qstate import ATOL, KET_LABELS, BellLabel, StateVector, ket, make_rng
-from qdleak.report import operation_table_text
+from qdleak.report import leakage_document, operation_table_text
 
 import coset_oracle
-from channel_reference import jz_row, nba_row, reference_leakage_report
+from channel_reference import jz_row, nba_row, reference_leakage_report, spelled_entries
 
 ALL_JZ_TRANSCRIPTS = [
     ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"),
@@ -286,16 +285,16 @@ def test_mxn_posterior_is_the_complement_pair():
 def test_mxn_posterior_matches_rerun_weights_exhaustively():
     """Dual route at N=3: the transcript's channel column versus the report
     pipeline must give identical posteriors on all 64 transcripts."""
-    report = leakage_report(Protocol.MXN, 3)
-    assert len(report.per_transcript) == 64
-    for entry in report.per_transcript:
-        direct = eve_posterior(entry.transcript)
-        assert support_bits(direct) == support_bits(entry.posterior)
+    entries = spelled_entries(leakage_report(Protocol.MXN, 3))
+    assert len(entries) == 64
+    for transcript, coset in entries:
+        direct = eve_posterior(transcript)
+        assert support_bits(direct) == support_bits(coset.posterior)
         assert direct.probabilities == pytest.approx(
-            entry.posterior.probabilities, abs=ATOL
+            coset.posterior.probabilities, abs=ATOL
         )
         for s, p in direct.hypotheses:
-            w = paired_bell_probability(mxn_encoded_state(s), entry.transcript.announced)
+            w = paired_bell_probability(mxn_encoded_state(s), transcript.announced)
             assert w > ATOL
 
 
@@ -440,8 +439,8 @@ def test_leakage_report_totals(protocol, parties, total, secure, count):
     assert report.total_bits == total
     assert report.secure_bits == pytest.approx(secure, abs=ATOL)
     assert report.leaked_bits == pytest.approx(total - secure, abs=ATOL)
-    assert len(report.per_transcript) == count
-    assert sum(e.probability for e in report.per_transcript) == pytest.approx(
+    assert len(report.entries) == count
+    assert sum(report.cosets[k].probability for _, k in report.entries) == pytest.approx(
         1.0, abs=ATOL
     )
 
@@ -450,14 +449,14 @@ def test_leakage_report_totals(protocol, parties, total, secure, count):
     "protocol,parties",
     [(Protocol.NBA, None), (Protocol.JZ, None), (Protocol.OTP, None), (Protocol.MXN, 3)],
 )
-def test_per_transcript_entropy_is_constant_tying_both_views(protocol, parties):
-    # ensemble average and per-transcript leakage coincide; assert, don't assume
+def test_coset_entropy_is_constant_tying_both_views(protocol, parties):
+    # ensemble average and each coset's leakage coincide; assert, don't assume
     report = leakage_report(protocol, parties)
-    for entry in report.per_transcript:
-        assert entry.entropy_bits == pytest.approx(report.secure_bits, abs=ATOL)
-        assert entry.leaked_bits == pytest.approx(report.leaked_bits, abs=ATOL)
-        assert entry.entropy_bits == pytest.approx(
-            entry.posterior.entropy_bits, abs=ATOL
+    for coset in report.cosets:
+        assert coset.entropy_bits == pytest.approx(report.secure_bits, abs=ATOL)
+        assert coset.leaked_bits == pytest.approx(report.leaked_bits, abs=ATOL)
+        assert coset.entropy_bits == pytest.approx(
+            coset.posterior.entropy_bits, abs=ATOL
         )
 
 
@@ -478,9 +477,7 @@ def test_leakage_report_matches_the_coset_oracle(protocol, parties):
     explain, each with the coset it predicts as support and log2 of the
     coset's size as entropy."""
     predicted = coset_oracle.posterior_supports(protocol, parties)
-    entries = {
-        e.transcript.announced: e for e in leakage_report(protocol, parties).per_transcript
-    }
+    entries = {t.announced: c for t, c in spelled_entries(leakage_report(protocol, parties))}
     assert entries.keys() == predicted.keys()
     for announced, support in predicted.items():
         assert support_bits(entries[announced].posterior) == support
@@ -549,14 +546,14 @@ def test_secret_term_rank_is_the_leak(protocol, parties):
     ],
 )
 def test_leakage_report_is_the_row_table_audit(protocol, parties):
-    """Coset by coset, the report's per-transcript view equals the audit
+    """Coset by coset, the report's entries spelled out equal the audit
     built from every row at once, float for float and in the same
     transcript order, and so do its totals."""
     report = leakage_report(protocol, parties)
     want, totals = reference_leakage_report(protocol, parties)
-    entries = report.per_transcript
-    assert [e.transcript for e in entries] == [e.transcript for e in want]
-    for got, expected in zip(entries, want):
+    entries = spelled_entries(report)
+    assert [t for t, _ in entries] == [t for t, _ in want]
+    for (_, got), (_, expected) in zip(entries, want):
         assert got.probability == expected.probability
         assert got.entropy_bits == expected.entropy_bits
         assert got.leaked_bits == expected.leaked_bits
@@ -594,14 +591,14 @@ def test_leakage_report_builds_one_posterior_per_coset(monkeypatch, protocol, pa
     monkeypatch.setattr(leakage, "shannon_entropy", counting_entropy)
     report = leakage_report(protocol, parties)
     assert len(report.cosets) == cosets
-    assert len({id(e.posterior) for e in report.per_transcript}) == cosets
+    assert len({id(report.cosets[k].posterior) for _, k in report.entries}) == cosets
     assert len(built) == len(measured) == cosets
     assert len(report.entries) > cosets
     del built[:], measured[:]
     again = leakage_report(protocol, parties)
     assert (len(built), len(measured)) == (0, cosets)
-    for e in again.per_transcript:
-        assert eve_posterior(e.transcript) is e.posterior
+    for transcript, coset in spelled_entries(again):
+        assert eve_posterior(transcript) is coset.posterior
     assert built == []
 
 
@@ -624,8 +621,8 @@ def test_report_cosets_are_the_coset_table(protocol, parties):
     for audit, coset in zip(report.cosets, table.values()):
         assert audit.posterior == Posterior.from_weights((s, 1.0) for s in coset)
     assert {k for _, k in report.entries} == set(range(len(table)))
-    for entry, (_, k) in zip(report.per_transcript, report.entries):
-        assert eve_posterior(entry.transcript) == report.cosets[k].posterior
+    for transcript, coset in spelled_entries(report):
+        assert eve_posterior(transcript) == coset.posterior
 
 
 @pytest.mark.parametrize("protocol, parties", _AUDITS)
@@ -676,26 +673,21 @@ def test_cold_eavesdrop_walks_no_engine(monkeypatch):
 
 
 def test_leakage_report_builds_no_transcript(monkeypatch):
-    """An audit names each entry's symbols by index: it validates no
-    Transcript and builds no TranscriptLeakage, which only the
-    per_transcript view does."""
+    """An audit names each entry's symbols by index: neither it nor its
+    document validates a Transcript."""
     built = []
-    post_init, init = Transcript.__post_init__, TranscriptLeakage.__init__
+    post_init = Transcript.__post_init__
 
     def counting_post_init(self):
-        built.append("transcript")
+        built.append(1)
         post_init(self)
 
-    def counting_init(self, *args):
-        built.append("entry")
-        init(self, *args)
-
     monkeypatch.setattr(Transcript, "__post_init__", counting_post_init)
-    monkeypatch.setattr(TranscriptLeakage, "__init__", counting_init)
     report = leakage_report(Protocol.MXN, 6)
+    assert len(leakage_document(report)["transcripts"]) == 4**6
     assert built == []
-    report.per_transcript
-    assert built.count("transcript") == built.count("entry") == len(report.entries) == 4**6
+    spelled_entries(report)  # the counter sees every entry spelled out
+    assert len(built) == len(report.entries) == 4**6
 
 
 @pytest.mark.parametrize(
@@ -720,7 +712,9 @@ def test_report_refuses_malformed_entries(protocol, parties, entries):
         dataclasses.replace(report, entries=entries)
 
 
-@pytest.mark.parametrize("protocol, parties", [(Protocol.NBA, 5), (Protocol.MXN, None)])
+@pytest.mark.parametrize(
+    "protocol, parties", [(Protocol.NBA, 5), (Protocol.MXN, None), (Protocol.MXN, 2)]
+)
 def test_report_refuses_a_party_count_its_protocol_does_not_take(protocol, parties):
     report = leakage_report(protocol, 3 if protocol is Protocol.MXN else None)
     with pytest.raises(ValueError, match="parties"):

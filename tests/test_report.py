@@ -44,6 +44,8 @@ from qdleak.report import (
     run_text,
 )
 
+from channel_reference import spelled_entries
+
 
 def sample_records():
     return [
@@ -231,8 +233,8 @@ def test_leakage_json_is_the_dumped_document_of_any_report(report):
 
 
 def reference_leakage_text(report: LeakageReport) -> str:
-    """``leakage_text`` with one f-string per line, read from the validated
-    per-transcript view rather than the coset table."""
+    """``leakage_text`` with one f-string per line, spelling each entry
+    out as a validated Transcript rather than indexing the symbols."""
     lines = [f"protocol: {report.protocol.text}"]
     if report.parties is not None:
         lines.append(f"parties: {report.parties}")
@@ -240,15 +242,15 @@ def reference_leakage_text(report: LeakageReport) -> str:
         f"total_bits: {report.total_bits}",
         f"secure_bits: {report.secure_bits:.9f}",
         f"leaked_bits: {report.leaked_bits:.9f}",
-        f"transcripts ({len(report.per_transcript)}):",
+        f"transcripts ({len(report.entries)}):",
     ]
-    for e in report.per_transcript:
+    for transcript, c in spelled_entries(report):
         announced = " ".join(
-            s.text if isinstance(s, BellLabel) else s for s in e.transcript.announced
+            s.text if isinstance(s, BellLabel) else s for s in transcript.announced
         )
         lines.append(
-            f"  {announced}  p={e.probability:.9f}"
-            f"  entropy={e.entropy_bits:.9f}  leaked={e.leaked_bits:.9f}"
+            f"  {announced}  p={c.probability:.9f}"
+            f"  entropy={c.entropy_bits:.9f}  leaked={c.leaked_bits:.9f}"
         )
     if report.protocol is Protocol.NBA:
         lines += ["", operation_table_text()]
