@@ -215,9 +215,9 @@ class LeakageReport:
     ``cosets`` holds each coset's numbers once.  ``entries`` lists every
     reachable transcript, in audit order, as (its symbols' indices into
     :data:`~qdleak.protocols.ANNOUNCED_SYMBOLS`, the index of the coset it
-    names); the constructor refuses an entry that is not such a pair, and a
-    party count the protocol does not take or, for mxn, one outside
-    :data:`~qdleak.protocols.MXN_PARTIES`."""
+    names); the constructor refuses an entry that is not such a pair, a
+    two-party report whose ``parties`` is not None, and an mxn one whose
+    count is outside :data:`~qdleak.protocols.MXN_PARTIES`."""
 
     protocol: Protocol
     parties: int | None
@@ -231,6 +231,10 @@ class LeakageReport:
         width = party_count(self.protocol, self.parties)
         if self.protocol is Protocol.MXN:
             _check_mxn_parties(width)
+        elif self.parties is not None:
+            raise ValueError(
+                f"a {self.protocol.text} report carries parties=None, got {self.parties!r}"
+            )
         symbols = len(ANNOUNCED_SYMBOLS[self.protocol])
         # set inclusion also refuses negative indices, which would
         # otherwise count from the end

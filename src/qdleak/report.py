@@ -3,19 +3,18 @@
 JSON documents are plain dicts (stable under json round-trips), carry a
 ``schema_version`` and a ``kind`` discriminator, and validate against the
 schemas published here.  :func:`leakage_json` writes an audit's document
-as ``json.dumps(..., indent=2, sort_keys=True)`` would, without building
-it.  Text rendering is deterministic: fixed 9-decimal floats, stable
-orderings.
+as ``json.dumps(..., indent=2, sort_keys=True)`` would, building one dict
+per coset rather than one per transcript.  Text rendering is
+deterministic: fixed 9-decimal floats, stable orderings.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import replace
 from typing import Any
 
-from .leakage import CosetLeakage, LeakageReport, Posterior
+from .leakage import CosetLeakage, LeakageReport
 from .protocols import (
     ANNOUNCED_SYMBOLS,
     MXN_PARTIES,
@@ -45,12 +44,18 @@ def announced_text(transcript: Transcript) -> list[str]:
     return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
 
 
-def _posterior_doc(posterior: Posterior) -> list[dict[str, Any]]:
-    """The hypotheses as fresh dicts and lists."""
-    return [
-        {"secrets": [bits_to_str(bits) for bits in assignment.full_bits], "prob": prob}
-        for assignment, prob in posterior.hypotheses
-    ]
+def _coset_doc(coset: CosetLeakage) -> dict[str, Any]:
+    """A transcript entry's fields other than "announced": its coset's
+    numbers and posterior hypotheses, as fresh dicts and lists."""
+    return {
+        "probability": coset.probability,
+        "entropy_bits": coset.entropy_bits,
+        "leaked_bits": coset.leaked_bits,
+        "posterior": [
+            {"secrets": [bits_to_str(bits) for bits in assignment.full_bits], "prob": prob}
+            for assignment, prob in coset.posterior.hypotheses
+        ],
+    }
 
 
 def leakage_document(report: LeakageReport) -> dict[str, Any]:
@@ -71,23 +76,10 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
             "leaked_bits": report.leaked_bits,
         },
         "transcripts": [
-            {
-                "announced": [symbols[i] for i in indices],
-                "probability": c.probability,
-                "entropy_bits": c.entropy_bits,
-                "leaked_bits": c.leaked_bits,
-                "posterior": _posterior_doc(c.posterior),
-            }
+            {"announced": [symbols[i] for i in indices], **_coset_doc(report.cosets[coset])}
             for indices, coset in report.entries
-            for c in (report.cosets[coset],)
         ],
     }
-
-
-def _json_number(x: Any) -> str:
-    """A number as json.dumps writes it: ``float.__repr__`` for a finite
-    float, NaN/Infinity/-Infinity for the others."""
-    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
 
 
 def _json_block(brackets: str, items: list[str], depth: int) -> str:
@@ -100,49 +92,25 @@ def _json_block(brackets: str, items: list[str], depth: int) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
-def _posterior_json(posterior: Posterior) -> str:
-    hypotheses = [
-        _json_block(
-            "{}",
-            [
-                f'"prob": {_json_number(prob)}',
-                '"secrets": '
-                + _json_block("[]", [json.dumps(bits_to_str(b)) for b in secrets.full_bits], 5),
-            ],
-            4,
-        )
-        for secrets, prob in posterior.hypotheses
-    ]
-    return _json_block("[]", hypotheses, 3)
-
-
-def _entry_tail(coset: CosetLeakage) -> str:
-    """The JSON of a transcript entry naming the coset, after its
-    "announced" block, which sorts first: the other fields in sorted key
-    order, as sort_keys writes them, and the closing brace."""
-    fields = [
-        "",  # the announced field's place; the tail starts at the comma after it
-        f'"entropy_bits": {_json_number(coset.entropy_bits)}',
-        f'"leaked_bits": {_json_number(coset.leaked_bits)}',
-        f'"posterior": {_posterior_json(coset.posterior)}',
-        f'"probability": {_json_number(coset.probability)}',
-    ]
-    return _json_block("{}", fields, 2).removeprefix("{\n      ")
-
-
 def leakage_json(report: LeakageReport) -> str:
     """``json.dumps(leakage_document(report), indent=2, sort_keys=True)``,
     byte for byte, in one pass over the report's coset table: the head is
-    json.dumps of the head fields, and each transcript is laid out
-    directly.  Per call, each symbol of the announced alphabet is rendered
-    once and each coset's entry tail (:func:`_entry_tail`) once; per entry
-    only its announced block is, from its symbol indices, and its coset
-    index picks its tail."""
+    json.dumps of the head fields, and each coset's fields
+    (:func:`_coset_doc`) are dumped once, indented to an entry's depth.
+    Per call, each symbol of the announced alphabet is rendered once; per
+    entry only its announced block is, from its symbol indices, and its
+    coset index picks its fields."""
     head = json.dumps(
         leakage_document(replace(report, entries=())), indent=2, sort_keys=True
     )
     symbols = [json.dumps(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[report.protocol]]
-    tails = [_entry_tail(coset) for coset in report.cosets]
+    # "announced" sorts before every other field, so a coset's dumped
+    # fields follow an entry's announced block after a comma, in place of
+    # their opening brace
+    tails = [
+        "," + json.dumps(_coset_doc(c), indent=2, sort_keys=True)[1:].replace("\n", "\n    ")
+        for c in report.cosets
+    ]
     transcripts = [
         '{\n      "announced": '
         + _json_block("[]", [symbols[i] for i in indices], 3)

@@ -1,4 +1,4 @@
-"""Mutation check: the tier-1 suite must fail on every named one-line edit
+"""Mutation check: the tier-1 suite must fail on every named small edit
 of the library.
 
 Each mutant copies ``src/`` (with ``scripts/``, which a test finds beside
@@ -135,10 +135,16 @@ MUTANTS = [
         "report.cosets[coset - 1]",
     ),
     Mutant(
-        "leakage_json writes infinities as Python does",
+        "_coset_doc swaps entropy_bits and leaked_bits",
         "report.py",
-        "type(x) is float and math.isfinite(x)",
-        "type(x) is float and not math.isnan(x)",
+        '"entropy_bits": coset.entropy_bits,\n        "leaked_bits": coset.leaked_bits,',
+        '"entropy_bits": coset.leaked_bits,\n        "leaked_bits": coset.entropy_bits,',
+    ),
+    Mutant(
+        "leakage_json dumps a coset's fields unsorted",
+        "report.py",
+        "json.dumps(_coset_doc(c), indent=2, sort_keys=True)",
+        "json.dumps(_coset_doc(c), indent=2)",
     ),
 ]
 

@@ -713,9 +713,19 @@ def test_report_refuses_malformed_entries(protocol, parties, entries):
 
 
 @pytest.mark.parametrize(
-    "protocol, parties", [(Protocol.NBA, 5), (Protocol.MXN, None), (Protocol.MXN, 2)]
+    "protocol, parties",
+    [
+        (Protocol.NBA, 5),
+        (Protocol.NBA, 2),
+        (Protocol.JZ, 2),
+        (Protocol.OTP, 2),
+        (Protocol.MXN, None),
+        (Protocol.MXN, 2),
+    ],
 )
 def test_report_refuses_a_party_count_its_protocol_does_not_take(protocol, parties):
+    """A two-party report carries no count, as leakage_report builds it:
+    its text would print one and its document would fail the schema."""
     report = leakage_report(protocol, 3 if protocol is Protocol.MXN else None)
     with pytest.raises(ValueError, match="parties"):
         dataclasses.replace(report, parties=parties, entries=())

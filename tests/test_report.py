@@ -88,18 +88,6 @@ def test_leakage_schema_holds_the_mxn_party_bound():
             jsonschema.validate(doc, LEAKAGE_SCHEMA)
 
 
-def test_leakage_document_entropy_recomputes_from_posterior():
-    doc = leakage_document(leakage_report(Protocol.NBA))
-    for entry in doc["transcripts"]:
-        probs = [h["prob"] for h in entry["posterior"]]
-        assert shannon_entropy(probs) == pytest.approx(
-            entry["entropy_bits"], abs=ATOL
-        )
-        assert entry["leaked_bits"] == pytest.approx(
-            doc["totals"]["total_bits"] - entry["entropy_bits"], abs=ATOL
-        )
-
-
 def test_leakage_document_entries_share_no_containers():
     """Every hypothesis gets its own dict and list, even where entries
     share a posterior, so editing one entry leaves the others alone."""
@@ -119,6 +107,26 @@ ALL_AUDITS = [
     (Protocol.OTP, None),
     *((Protocol.MXN, n) for n in (3, 4, 5, 6)),
 ]
+
+
+@pytest.mark.parametrize("protocol,parties", ALL_AUDITS)
+def test_leakage_document_entropy_recomputes_from_posterior(protocol, parties):
+    """Each entry's numbers, in the document and in leakage_json's text,
+    are its own coset's, named by field: entropy and leaked bits differ
+    on mxn (1 against N), so a swap of the two shows there."""
+    report = leakage_report(protocol, parties)
+    for doc in (leakage_document(report), json.loads(leakage_json(report))):
+        assert len(doc["transcripts"]) == len(report.entries)
+        for entry, (_, k) in zip(doc["transcripts"], report.entries):
+            c = report.cosets[k]
+            assert entry["probability"] == c.probability
+            assert entry["entropy_bits"] == c.entropy_bits
+            assert entry["leaked_bits"] == c.leaked_bits
+            probs = [h["prob"] for h in entry["posterior"]]
+            assert shannon_entropy(probs) == pytest.approx(entry["entropy_bits"], abs=ATOL)
+            assert entry["leaked_bits"] == pytest.approx(
+                doc["totals"]["total_bits"] - entry["entropy_bits"], abs=ATOL
+            )
 
 
 def dumped(report: LeakageReport) -> str:
@@ -180,8 +188,8 @@ def test_leakage_json_of_hand_built_reports(name, fragment):
     assert fragment in text
 
 
-# Any float, with the edge cases the serializer writes by hand drawn often:
-# a negative zero, subnormals, NaN and both infinities.
+# Any float, with the edge cases of json.dumps's float spelling drawn
+# often: a negative zero, subnormals, NaN and both infinities.
 _NUMBERS = st.one_of(
     st.sampled_from([-0.0, 0.0, 5e-324, -2.5e-310, math.nan, math.inf, -math.inf]),
     st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
