@@ -27,18 +27,17 @@ from typing import Sequence
 from . import report as report_mod
 from .leakage import leakage_report
 from .protocols import (
+    ANNOUNCED_SYMBOLS,
+    ANNOUNCED_TEXTS,
     MXN_PARTIES,
     Protocol,
+    SecretAssignment,
     TranscriptError,
-    as_bits,
-    jz_secrets,
-    mxn_secrets,
-    nba_secrets,
     run_jz,
     run_mxn,
     run_nba,
 )
-from .qstate import KET_LABELS, BellLabel, make_rng
+from .qstate import make_rng
 
 
 class UsageError(Exception):
@@ -88,14 +87,6 @@ def _reject(condition: bool, message: str) -> None:
         raise UsageError(message)
 
 
-def _parse_bits(value: str | None, width: int, flag: str):
-    _reject(value is None, f"{flag} is required for this protocol")
-    try:
-        return as_bits(value, width)
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from None
-
-
 def _check_parties(protocol: Protocol, parties: int | None) -> None:
     if protocol is Protocol.MXN:
         _reject(parties is None, "--parties is required for mxn")
@@ -109,45 +100,34 @@ def _check_parties(protocol: Protocol, parties: int | None) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     protocol = Protocol(args.protocol)
+    mxn = protocol is Protocol.MXN
     _reject(args.seed < 0, f"--seed must be non-negative, got {args.seed}")
-    if protocol is Protocol.MXN:
-        _reject(args.bob is not None, "--bob does not apply to mxn (use --others)")
-        _reject(args.initial is not None, "--initial does not apply to mxn")
-    else:
-        _reject(args.others is not None, f"--others does not apply to {protocol.text}")
+    flags = {"alice": True, "bob": not mxn, "others": mxn, "initial": not mxn}
+    for flag, wanted in flags.items():
+        given = getattr(args, flag) is not None
+        _reject(given and not wanted, f"--{flag} does not apply to {protocol.text}")
+        _reject(wanted and not given, f"--{flag} is required for {protocol.text}")
     _check_parties(protocol, args.parties)
-    if protocol is Protocol.NBA:
-        alice = _parse_bits(args.alice, 2, "--alice")
-        bob = _parse_bits(args.bob, 2, "--bob")
-        _reject(args.initial is None, "--initial is required for nba")
-        try:
-            initial = BellLabel.from_text(args.initial)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
-        record = run_nba(nba_secrets(alice, bob), initial)
-    elif protocol is Protocol.JZ:
-        alice = _parse_bits(args.alice, 1, "--alice")
-        bob = _parse_bits(args.bob, 1, "--bob")
-        _reject(args.initial is None, "--initial is required for jz")
-        _reject(
-            args.initial not in KET_LABELS,
-            f"--initial must be one of {'/'.join(KET_LABELS)}",
-        )
-        record = run_jz(jz_secrets(alice[0], bob[0]), args.initial)
+    if mxn:
+        others, wanted = args.others.split(","), args.parties - 1
+        _reject(len(others) != wanted, f"--others needs {wanted} comma-separated bits")
     else:
-        alice = _parse_bits(args.alice, 2, "--alice")
-        _reject(args.others is None, "--others is required for mxn")
-        raw = args.others.split(",")
-        _reject(
-            len(raw) != args.parties - 1,
-            f"--others needs {args.parties - 1} comma-separated bits",
-        )
-        others = [_parse_bits(r, 1, "--others")[0] for r in raw]
-        record = run_mxn(mxn_secrets(alice, others), make_rng(args.seed))
+        others = [args.bob]
+    try:
+        secrets = SecretAssignment(protocol, args.alice, others)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if mxn:
+        record = run_mxn(secrets, make_rng(args.seed))
+    else:
+        texts = ANNOUNCED_TEXTS[protocol]
+        _reject(args.initial not in texts, f"--initial must be one of {'/'.join(texts)}")
+        initial = ANNOUNCED_SYMBOLS[protocol][texts.index(args.initial)]
+        record = (run_nba if protocol is Protocol.NBA else run_jz)(secrets, initial)
 
     # The seed only matters where sampling happens; elsewhere it would be
     # noise in otherwise deterministic output.
-    shown_seed = args.seed if protocol is Protocol.MXN else None
+    shown_seed = args.seed if mxn else None
     if args.format == "json":
         doc = report_mod.run_document(record, seed=shown_seed)
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -154,10 +154,13 @@ def as_bits(value: BitsLike, width: int) -> Bits:
     if isinstance(value, str):
         seq = [int(c) if c in "01" else -1 for c in value]
     else:
-        seq = list(value)
+        try:
+            seq = list(value)
+        except TypeError:  # a bare int or float is no bit sequence
+            seq = []
     if len(seq) != width or not all(map(is_bit, seq)):
         raise ValueError(f"expected {width} bits, got {value!r}")
-    return tuple(int(b) for b in seq)
+    return tuple(map(int, seq))
 
 
 def bits_to_str(bits: Iterable[int]) -> str:
@@ -207,7 +210,10 @@ class SecretAssignment:
 
     Bit widths and party counts come from the protocol's shape: NBA 2+2,
     JZ and OTP 1+1, MXN 2 for party 0 and 1 for each of parties 1..N-1.
-    Lists are stored as tuples, so an assignment is always hashable.
+    Each party's bits are read by :func:`as_bits` ("01" strings or int
+    sequences; the other parties from any iterable) and stored as int
+    tuples, so an assignment is always hashable.  A ValueError names the
+    party whose bits do not fit.
     """
 
     protocol: Protocol
@@ -215,15 +221,19 @@ class SecretAssignment:
     others: tuple[Bits, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(self.alice))
-        object.__setattr__(self, "others", tuple(map(tuple, self.others)))
         alice_w, other_w, _ = _SECRET_SHAPE[self.protocol]
-        if len(self.alice) != alice_w or not all(map(is_bit, self.alice)):
-            raise ValueError(f"party 0 needs {alice_w} bits for {self.protocol.text}")
-        party_count(self.protocol, 1 + len(self.others))
-        for bits in self.others:
-            if len(bits) != other_w or not all(map(is_bit, bits)):
-                raise ValueError(f"each other party needs {other_w} bits, got {bits!r}")
+        object.__setattr__(self, "alice", self._party_bits(0, self.alice, alice_w))
+        bits = tuple(self._party_bits(i, o, other_w) for i, o in enumerate(self.others, 1))
+        object.__setattr__(self, "others", bits)
+        party_count(self.protocol, self.num_parties)
+
+    def _party_bits(self, party: int, value: BitsLike, width: int) -> Bits:
+        try:
+            return as_bits(value, width)
+        except ValueError:
+            raise ValueError(
+                f"party {party} needs {width} bits for {self.protocol.text}, got {value!r}"
+            ) from None
 
     @property
     def num_parties(self) -> int:
@@ -244,22 +254,27 @@ ANNOUNCED_SYMBOLS = {
     Protocol.MXN: tuple(BellLabel),
 }
 
+# Each alphabet's texts, indexed like ANNOUNCED_SYMBOLS: their one spelling.
+ANNOUNCED_TEXTS = {
+    protocol: tuple(getattr(symbol, "text", symbol) for symbol in symbols)
+    for protocol, symbols in ANNOUNCED_SYMBOLS.items()
+}
+
 
 def nba_secrets(alice: BitsLike, bob: BitsLike) -> SecretAssignment:
-    return SecretAssignment(Protocol.NBA, as_bits(alice, 2), (as_bits(bob, 2),))
+    return SecretAssignment(Protocol.NBA, alice, (bob,))
 
 
 def jz_secrets(alice: int, bob: int) -> SecretAssignment:
-    return SecretAssignment(Protocol.JZ, as_bits([alice], 1), (as_bits([bob], 1),))
+    return SecretAssignment(Protocol.JZ, (alice,), ((bob,),))
 
 
 def otp_secrets(alice: int, bob: int) -> SecretAssignment:
-    return SecretAssignment(Protocol.OTP, as_bits([alice], 1), (as_bits([bob], 1),))
+    return SecretAssignment(Protocol.OTP, (alice,), ((bob,),))
 
 
 def mxn_secrets(alice: BitsLike, others: Sequence[BitsLike | int]) -> SecretAssignment:
-    packed = tuple(as_bits(o if np.iterable(o) else [o], 1) for o in others)
-    return SecretAssignment(Protocol.MXN, as_bits(alice, 2), packed)
+    return SecretAssignment(Protocol.MXN, alice, ([o] if is_int(o) else o for o in others))
 
 
 def all_secret_assignments(

@@ -4,8 +4,10 @@ JSON documents are plain dicts (stable under json round-trips), carry a
 ``schema_version`` and a ``kind`` discriminator, and validate against the
 schemas published here.  :func:`leakage_json` writes an audit's document
 as ``json.dumps(..., indent=2, sort_keys=True)`` would, building one dict
-per coset rather than one per transcript.  Text rendering is
-deterministic: fixed 9-decimal floats, stable orderings.
+per coset rather than one per transcript.  Every announced symbol is
+written as its text in :data:`~qdleak.protocols.ANNOUNCED_TEXTS`, the one
+spelling of each alphabet, which ``qdleak run --initial`` also reads.  Text
+rendering is deterministic: fixed 9-decimal floats, stable orderings.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Any
 
 from .leakage import CosetLeakage, LeakageReport
 from .protocols import (
-    ANNOUNCED_SYMBOLS,
+    ANNOUNCED_TEXTS,
     MXN_PARTIES,
     Protocol,
     RunRecord,
@@ -37,11 +39,8 @@ def party_name(index: int) -> str:
     return _PARTY_NAMES[index] if index < 3 else f"party{index + 1}"
 
 
-_BELL_TEXTS = {label: label.text for label in BellLabel}
-
-
 def announced_text(transcript: Transcript) -> list[str]:
-    return [_BELL_TEXTS.get(symbol, symbol) for symbol in transcript.announced]
+    return [getattr(symbol, "text", symbol) for symbol in transcript.announced]
 
 
 def _coset_doc(coset: CosetLeakage) -> dict[str, Any]:
@@ -64,7 +63,7 @@ def leakage_document(report: LeakageReport) -> dict[str, Any]:
     params: dict[str, Any] = {}
     if report.parties is not None:
         params["parties"] = report.parties
-    symbols = [_BELL_TEXTS.get(s, s) for s in ANNOUNCED_SYMBOLS[report.protocol]]
+    symbols = ANNOUNCED_TEXTS[report.protocol]
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "leakage-report",
@@ -103,7 +102,7 @@ def leakage_json(report: LeakageReport) -> str:
     head = json.dumps(
         leakage_document(replace(report, entries=())), indent=2, sort_keys=True
     )
-    symbols = [json.dumps(_BELL_TEXTS.get(s, s)) for s in ANNOUNCED_SYMBOLS[report.protocol]]
+    symbols = [json.dumps(text) for text in ANNOUNCED_TEXTS[report.protocol]]
     # "announced" sorts before every other field, so a coset's dumped
     # fields follow an entry's announced block after a comma, in place of
     # their opening brace
@@ -295,7 +294,7 @@ def leakage_text(report: LeakageReport) -> str:
     lines.append(f"secure_bits: {_f(report.secure_bits)}")
     lines.append(f"leaked_bits: {_f(report.leaked_bits)}")
     lines.append(f"transcripts ({len(report.entries)}):")
-    symbols = [_BELL_TEXTS.get(s, s) for s in ANNOUNCED_SYMBOLS[report.protocol]]
+    symbols = ANNOUNCED_TEXTS[report.protocol]
     suffixes = [
         f"  p={_f(c.probability)}  entropy={_f(c.entropy_bits)}  leaked={_f(c.leaked_bits)}"
         for c in report.cosets

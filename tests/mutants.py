@@ -129,6 +129,24 @@ MUTANTS = [
         "SUM_TOLERANCE = 1e-3",
     ),
     Mutant(
+        "SecretAssignment checks every party at party 0's width",
+        "protocols.py",
+        "self._party_bits(i, o, other_w)",
+        "self._party_bits(i, o, alice_w)",
+    ),
+    Mutant(
+        "run reads the symbol after the --initial text",
+        "cli.py",
+        "texts.index(args.initial)]",
+        "texts.index(args.initial) ^ 1]",
+    ),
+    Mutant(
+        "run drops its refusal of a flag that does not apply",
+        "cli.py",
+        '        _reject(given and not wanted, f"--{flag} does not apply to {protocol.text}")\n',
+        "",
+    ),
+    Mutant(
         "leakage_document reads the neighbouring coset",
         "report.py",
         "report.cosets[coset]",

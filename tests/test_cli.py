@@ -1,6 +1,7 @@
 """Command-line behavior: output, determinism, exit codes."""
 
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -16,9 +17,17 @@ from hypothesis import strategies as st
 import qdleak
 from qdleak import cli
 from qdleak.cli import main
-from qdleak.protocols import TranscriptError
-from qdleak.qstate import StateVector, ket
-from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA
+from qdleak.protocols import (
+    TranscriptError,
+    jz_secrets,
+    mxn_secrets,
+    nba_secrets,
+    run_jz,
+    run_mxn,
+    run_nba,
+)
+from qdleak.qstate import KET_LABELS, BellLabel, StateVector, ket, make_rng
+from qdleak.report import LEAKAGE_SCHEMA, RUN_SCHEMA, run_document, run_text
 
 
 def run_cli(capsys, *argv):
@@ -147,31 +156,55 @@ def test_table1_output(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, names",
     [
-        ["run", "--protocol", "nba", "--alice", "111", "--bob", "00", "--initial", "psi+"],
-        ["run", "--protocol", "nba", "--alice", "11", "--bob", "00"],
-        ["run", "--protocol", "nba", "--alice", "11", "--bob", "00", "--initial", "psi*"],
-        ["run", "--protocol", "nba", "--alice", "11", "--bob", "00", "--initial", "psi+",
-         "--others", "1"],
-        ["run", "--protocol", "jz", "--alice", "0", "--bob", "1", "--initial", "psi+"],
-        ["run", "--protocol", "mxn", "--parties", "9", "--alice", "00", "--others", "0,1"],
-        ["run", "--protocol", "mxn", "--alice", "00", "--others", "0,1"],
-        ["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1,1"],
-        ["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1",
-         "--bob", "11"],
-        ["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1",
-         "--initial", "psi+"],
-        ["analyze", "--protocol", "otp", "--parties", "3"],
-        ["analyze", "--protocol", "mxn"],
-        ["analyze", "--protocol", "mxn", "--parties", "2"],
+        (["run", "--protocol", "nba", "--alice", "111", "--bob", "00", "--initial", "psi+"],
+         "party 0 needs 2 bits for nba, got '111'"),
+        (["run", "--protocol", "nba", "--alice", "11", "--bob", "2", "--initial", "psi+"],
+         "party 1 needs 2 bits for nba, got '2'"),
+        (["run", "--protocol", "nba", "--alice", "11", "--bob", "00"],
+         "--initial is required for nba"),
+        (["run", "--protocol", "nba", "--bob", "00", "--initial", "psi+"],
+         "--alice is required for nba"),
+        (["run", "--protocol", "nba", "--alice", "11", "--bob", "00", "--initial", "psi*"],
+         "--initial must be one of phi+/phi-/psi+/psi-"),
+        (["run", "--protocol", "nba", "--alice", "11", "--bob", "00", "--initial", "psi+",
+          "--others", "1"],
+         "--others does not apply to nba"),
+        (["run", "--protocol", "jz", "--alice", "0", "--bob", "1", "--initial", "psi+"],
+         "--initial must be one of +/-/0/1"),
+        (["run", "--protocol", "jz", "--alice", "0", "--bob", "10", "--initial", "+"],
+         "party 1 needs 1 bits for jz, got '10'"),
+        (["run", "--protocol", "mxn", "--parties", "9", "--alice", "00", "--others", "0,1"],
+         "--parties must be in 3..6, got 9"),
+        (["run", "--protocol", "mxn", "--alice", "00", "--others", "0,1"],
+         "--parties is required for mxn"),
+        (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1,1"],
+         "--others needs 2 comma-separated bits"),
+        (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,"],
+         "party 2 needs 1 bits for mxn, got ''"),
+        (["run", "--protocol", "mxn", "--parties", "3", "--alice", "0", "--others", "0,1"],
+         "party 0 needs 2 bits for mxn, got '0'"),
+        (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1",
+          "--bob", "11"],
+         "--bob does not apply to mxn"),
+        (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1",
+          "--initial", "psi+"],
+         "--initial does not apply to mxn"),
+        (["analyze", "--protocol", "otp", "--parties", "3"],
+         "--parties does not apply to otp"),
+        (["analyze", "--protocol", "mxn"], "--parties is required for mxn"),
+        (["analyze", "--protocol", "mxn", "--parties", "2"],
+         "--parties must be in 3..6, got 2"),
     ],
 )
-def test_usage_errors_exit_2(capsys, argv):
+def test_usage_errors_exit_2(capsys, argv, names):
+    """A usage error is one line on stderr that names the flag, or the
+    party whose bits, it is about."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:")
+    assert err == f"error: {names}\n"
 
 
 def test_unknown_flags_exit_2(capsys):
@@ -213,6 +246,63 @@ def test_inconsistent_protocol_data_exits_1(capsys, monkeypatch, target, argv):
     monkeypatch.setattr(cli, target, inconsistent)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", "error: inconsistent transcript\n")
+
+
+def _library_run(protocol, alice, others, initial, seed):
+    """The run a ``qdleak run`` command line names, built by library calls
+    rather than by the command's parsing."""
+    if protocol == "nba":
+        return run_nba(nba_secrets(alice, others[0]), BellLabel.from_text(initial))
+    if protocol == "jz":
+        return run_jz(jz_secrets(int(alice), int(others[0])), initial)
+    return run_mxn(mxn_secrets(alice, [int(b) for b in others]), make_rng(seed))
+
+
+BITS2 = ("00", "01", "10", "11")
+BELL_TEXTS = ("phi+", "phi-", "psi+", "psi-")
+
+
+RUN_CASES = [
+    *(("nba", a, [b], i, None) for a in BITS2 for b in BITS2 for i in BELL_TEXTS),
+    *(("jz", a, [b], i, None) for a in "01" for b in "01" for i in KET_LABELS),
+    *(("mxn", a, list(rest), None, 7) for a in BITS2 for rest in itertools.product("01", repeat=2)),
+    ("mxn", "10", list("10101"), None, 7),
+]
+# every case as text and as JSON, and the first case of each protocol verbose
+RUN_FORMS = [(case, form) for case in RUN_CASES for form in ("text", "json")] + [
+    (next(case for case in RUN_CASES if case[0] == protocol), "verbose")
+    for protocol in ("nba", "jz", "mxn")
+]
+
+
+def _run_argv(protocol, alice, others, initial, seed):
+    argv = ["run", "--protocol", protocol, "--alice", alice]
+    if protocol == "mxn":
+        return argv + [
+            "--parties", str(len(others) + 1), "--others", ",".join(others), "--seed", str(seed)
+        ]
+    return argv + ["--bob", others[0], "--initial", initial]
+
+
+@pytest.mark.parametrize(
+    "case, form",
+    RUN_FORMS,
+    ids=["-".join([c[0], c[1], *c[2], c[3] or f"seed{c[4]}", form]) for c, form in RUN_FORMS],
+)
+def test_run_prints_the_library_run(capsys, case, form):
+    """``qdleak run``'s stdout is run_text, or the run document dumped as
+    JSON, of the run that library calls make from the same bits, initial
+    and seed."""
+    record = _library_run(*case)
+    seed = case[4]
+    argv = _run_argv(*case)
+    if form == "json":
+        argv += ["--format", "json"]
+        want = json.dumps(run_document(record, seed=seed), indent=2, sort_keys=True)
+    else:
+        argv += ["--verbose"] if form == "verbose" else []
+        want = run_text(record, seed=seed, verbose=form == "verbose")
+    assert run_cli(capsys, *argv) == (0, want + "\n", "")
 
 
 # Each flag with values that make sense for some subcommand; --parties stays

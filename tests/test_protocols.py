@@ -13,6 +13,7 @@ from qdleak import protocols
 from qdleak.leakage import eve_posterior, leakage_report
 from qdleak.protocols import (
     ANNOUNCED_SYMBOLS,
+    ANNOUNCED_TEXTS,
     MXN_PARTIES,
     Protocol,
     RunRecord,
@@ -137,13 +138,45 @@ def test_secret_assignment_shapes():
         lambda: mxn_secrets("00", [True, 0]),
         lambda: mxn_secrets("00", [np.True_, 0]),
         lambda: mxn_secrets("00", [1.0, 0]),
+        lambda: as_bits(3, 2),
+        lambda: nba_secrets(3, "00"),
+        lambda: SecretAssignment(Protocol.NBA, (0, 1), (5,)),
+        lambda: jz_secrets(2, 0),
     ],
 )
 def test_bit_fields_reject_bools(build):
     """A bool or a float equals 0 or 1 but renders as True/False or 1.0 in
-    labels and bit strings, so bit fields refuse it."""
-    with pytest.raises(ValueError):
+    labels and bit strings, so bit fields refuse it.  A bare number where a
+    party's bit sequence belongs is the same ValueError, not a TypeError
+    from iterating it."""
+    with pytest.raises(ValueError) as exc:
         build()
+    assert exc.type is ValueError
+
+
+def test_secret_assignment_reads_strings_and_names_the_party():
+    """Every party's bits go through as_bits, so an assignment takes the
+    same "01" strings the helpers take, from any iterable of parties, and a
+    bits error names the party it is about."""
+    assert SecretAssignment(Protocol.NBA, "10", iter(["01"])) == nba_secrets("10", "01")
+    assert SecretAssignment(Protocol.MXN, "00", ("0", "1")) == mxn_secrets("00", [0, 1])
+    assert SecretAssignment(Protocol.JZ, "1", ["0"]) == jz_secrets(1, 0)
+    assert all(type(b) is int for b in mxn_secrets(np.array([1, 0]), np.array([1])).alice)
+    with pytest.raises(ValueError, match=r"^party 1 needs 2 bits for nba, got '111'$"):
+        nba_secrets("01", "111")
+    with pytest.raises(ValueError, match=r"^party 0 needs 2 bits for mxn, got '1'$"):
+        mxn_secrets("1", [0, 1])
+    with pytest.raises(ValueError, match=r"^party 2 needs 1 bits for mxn, got '01'$"):
+        mxn_secrets("00", [0, "01"])
+
+
+def test_announced_texts_spell_the_announced_symbols():
+    for protocol, symbols in ANNOUNCED_SYMBOLS.items():
+        texts = ANNOUNCED_TEXTS[protocol]
+        assert texts == tuple(getattr(s, "text", s) for s in symbols)
+        assert list(texts) == sorted(texts)
+    assert ANNOUNCED_TEXTS[Protocol.NBA] == ("phi+", "phi-", "psi+", "psi-")
+    assert set(ANNOUNCED_TEXTS[Protocol.JZ]) == set(KET_LABELS)
 
 
 def test_all_secret_assignments_counts():
