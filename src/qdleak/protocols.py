@@ -61,15 +61,15 @@ Protocols:
 
 Both two-party protocols are label arithmetic over GF(2), with no state
 vector.  A symbol's bits are its index in the alphabet: a Bell label's
-(psi, minus), where Z tensor Z reads -1 on a psi label and X tensor X reads
--1 on a minus label, or a ket's (basis, value).  A run's second symbol is
-the index of its first XOR the code of the assignment it holds
+(psi, minus), the signs of Z tensor Z and X tensor X, or a ket's (basis,
+value).  A secret bit's term is the index of the symbol its coding
+operation makes of phi+ or +: an X part flips psi, a Z part minus or +.  A
+run's second symbol is the index of its first XOR the assignment's code
 (:func:`_second_symbol`, which :func:`nba_final_label` and
-:func:`jz_outcome_label` call on raw bits), a two-party tuple's code is
-the XOR of its symbols' indices, and a jz code with the basis bit set
-names no coset.  A two-party coset is {(a, a ^ x)}, so party 0's decoding
-rule, own ^ x, serves both parties.  The engine versions of both labels
-are what tests hold them to.
+:func:`jz_outcome_label` call on raw bits), a tuple's code is the XOR of
+its indices, and a jz code with the basis bit set names no coset.  A
+two-party coset is {(a, a ^ x)}, so party 0's decoding rule, own ^ x,
+serves both parties; tests hold both labels to their engine versions.
 
 MXN's encoded state is the all-zero multiplet tensor the multiplet of the
 secrets' GHZ label, up to a sign, so the joint law of its N pair outcomes
@@ -81,12 +81,12 @@ tuple names, each at one engine number per party count
 of the all-zero doubled multiplet, read at one tuple.  A run needs no
 table: it samples that law pair by pair with GF(2) arithmetic on the
 label's bits, the draws the engine's collapse would make.  Labels need no
-state vector either: an assignment's label (:func:`mxn_label`) and an
-announced tuple's label (:func:`deduce_ghz_from_bells`) are each the code
-its term table gives, read as an index into
-:func:`~qdleak.qstate.all_ghz_labels`.  Runs, decoding and columns XOR
-one tuple's terms, and the audit walks the table once, pair by pair, for
-the codes of all 4^N tuples.  The engine versions,
+state vector either: an announced tuple's label
+(:func:`deduce_ghz_from_bells`) and an assignment's (:func:`mxn_label`, by
+the same rule at each party's pair) are each the code its term table gives,
+an index into :func:`~qdleak.qstate.all_ghz_labels`.  Runs, decoding and
+columns XOR one tuple's terms, and the audit walks the table once, pair by
+pair, for the codes of all 4^N tuples.  The engine versions,
 :func:`ghz_after_ops`, :func:`paired_bell_probability` on
 :func:`mxn_encoded_state` and every label's own walk, are what tests hold
 them to.
@@ -213,7 +213,7 @@ class SecretAssignment:
     Each party's bits are read by :func:`as_bits` ("01" strings or int
     sequences; the other parties from any iterable) and stored as int
     tuples, so an assignment is always hashable.  A ValueError names the
-    party whose bits do not fit.
+    party whose bits do not fit; a bare value for the parties is party 1's.
     """
 
     protocol: Protocol
@@ -223,7 +223,8 @@ class SecretAssignment:
     def __post_init__(self):
         alice_w, other_w, _ = _SECRET_SHAPE[self.protocol]
         object.__setattr__(self, "alice", self._party_bits(0, self.alice, alice_w))
-        bits = tuple(self._party_bits(i, o, other_w) for i, o in enumerate(self.others, 1))
+        others = self.others if isinstance(self.others, Iterable) else [self.others]
+        bits = tuple(self._party_bits(i, o, other_w) for i, o in enumerate(others, 1))
         object.__setattr__(self, "others", bits)
         party_count(self.protocol, self.num_parties)
 
@@ -274,7 +275,9 @@ def otp_secrets(alice: int, bob: int) -> SecretAssignment:
 
 
 def mxn_secrets(alice: BitsLike, others: Sequence[BitsLike | int]) -> SecretAssignment:
-    return SecretAssignment(Protocol.MXN, alice, ([o] if is_int(o) else o for o in others))
+    if isinstance(others, Iterable):  # else SecretAssignment refuses it by name
+        others = [[o] if is_int(o) else o for o in others]
+    return SecretAssignment(Protocol.MXN, alice, others)
 
 
 def all_secret_assignments(
@@ -335,6 +338,10 @@ class RunRecord:
 
 # --- coding alphabets ---------------------------------------------------
 
+# The operation on a pair's second qubit that takes phi+ to each Bell label,
+# in BellLabel order; its index's low bit is the ket it makes of +.
+_BELL_OPS = (PauliOp.I, PauliOp.SZ, PauliOp.SX, PauliOp.ISY)
+
 # The one-bit coding of jz's parties and mxn's parties 1..N-1.
 _FLIP_OPS = {(0,): PauliOp.I, (1,): PauliOp.ISY}
 
@@ -360,8 +367,7 @@ def coding_ops(secrets: SecretAssignment) -> tuple[PauliOp, ...]:
     maps = _CODING_OPS.get(secrets.protocol)
     if maps is None:
         raise ValueError(f"{secrets.protocol.text} has no coding operations")
-    first, rest = maps
-    return (first[secrets.alice], *(rest[bits] for bits in secrets.others))
+    return tuple(maps[min(party, 1)][bits] for party, bits in enumerate(secrets.full_bits))
 
 
 # --- NBA and JZ ---------------------------------------------------------
@@ -387,12 +393,9 @@ def nba_final_label(alice: Bits, bob: Bits, initial: BellLabel) -> BellLabel:
 
 
 def jz_outcome_label(alice: int, bob: int, initial: str) -> str:
-    """The measured ket label after both one-bit encodings.
-
-    isy maps each basis ket to the other one of its basis, up to phase, and
-    the preparer measures in the preparation basis, so the outcome is
-    ``initial`` when the bits agree and the other ket of its basis when
-    they differ."""
+    """The measured ket label after both one-bit encodings: ``initial``
+    when the bits agree, else the other ket of its basis, since isy swaps
+    the two kets of either basis, up to phase."""
     return _second_symbol(jz_secrets(alice, bob), initial, ValueError)
 
 
@@ -422,8 +425,7 @@ def jz_decode(own: int, initial: str, outcome: str) -> int:
     """Counterpart's bit: one's own bit XOR the public alice ^ bob, read
     from the coset the kets name, as :func:`nba_decode` reads it."""
     own = as_bits([own], 1)
-    transcript = Transcript(Protocol.JZ, (initial, outcome))
-    return _coset_decode(transcript, [(0, own)])[0][1][0]
+    return _coset_decode(Transcript(Protocol.JZ, (initial, outcome)), [(0, own)])[0][1][0]
 
 
 # --- MXN ----------------------------------------------------------------
@@ -438,7 +440,7 @@ def ghz_after_ops(ops: Sequence[PauliOp]) -> GhzLabel:
     :func:`mxn_label` is held to."""
     ops = tuple(ops)
     n = party_count(Protocol.MXN, len(ops))
-    if any(op not in (PauliOp.I, PauliOp.ISY) for op in ops[1:]):
+    if any(op not in _CODING_OPS[Protocol.MXN][1].values() for op in ops[1:]):
         raise ValueError("parties 1..N-1 may only encode with I or isy")
     state = ghz_state(GhzLabel(0, (0,) * (n - 1)))
     for qubit, op in enumerate(ops):
@@ -664,21 +666,19 @@ def _coset_decode(
 
 @functools.lru_cache(maxsize=None)
 def _secret_terms(protocol: Protocol, parties: int) -> tuple[int, ...]:
-    """Each secret bit's term, party by party: the flip its coding
-    operation makes to the code, since flips compose by XOR.  On nba's
-    traveling qubit sx flips psi, sz flips minus and isy = ZX both, so
-    coding bits (b1, b2) flip (psi, minus) by (b1 ^ b2, b1).  jz's isy
-    flips the ket within its basis, and otp's key bit cancels from the
-    ciphertexts' XOR.  On mxn's labels a Z part flips x, an X part on
-    qubit i >= 1 flips y_i and one on qubit 0 all of y; party 0's bits
-    (a1, a2) carry a Z part when a1 ^ a2 and an X part when a1, and party
-    i's isy both.  So x = a1 ^ a2 ^ b_1 ^ ... ^ b_(N-1), y_i = b_i ^ a1."""
-    if protocol is Protocol.NBA:
-        return (0b11, 0b10) * 2
-    if protocol is not Protocol.MXN:
+    """Each secret bit's term, party by party, most significant bit first:
+    the code of the symbol its coding operation makes of phi+ or + at the
+    party's position, since the coding tables' flips compose by XOR.
+    otp's key bit cancels from the ciphertexts' XOR."""
+    if protocol is Protocol.OTP:
         return (1, 1)
-    x_bit = 1 << (parties - 1)
-    return (2 * x_bit - 1, x_bit, *(x_bit | x_bit >> party for party in range(1, parties)))
+    mask = 0b01 if protocol is Protocol.JZ else 0b11  # only a Z part moves a + ket
+    return tuple(
+        terms[_BELL_OPS.index(op) & mask]
+        for party, terms in enumerate(_label_terms(protocol, parties)[1])
+        for bits, op in sorted(_CODING_OPS[protocol][min(party, 1)].items(), reverse=True)
+        if sum(bits) == 1
+    )
 
 
 def _public_syndrome(secrets: SecretAssignment) -> int:

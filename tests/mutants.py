@@ -69,22 +69,40 @@ MUTANTS = [
         "return symbols[index]",
     ),
     Mutant(
-        "the jz and otp secret terms drop bob's bit",
+        "the otp secret terms drop bob's bit",
         "protocols.py",
         "        return (1, 1)\n",
         "        return (1, 0)\n",
     ),
     Mutant(
-        "the nba secret terms flip minus, not psi, on a second coding bit",
+        "the Bell operations swap sz and sx",
         "protocols.py",
-        "return (0b11, 0b10) * 2",
-        "return (0b11, 0b01) * 2",
+        "_BELL_OPS = (PauliOp.I, PauliOp.SZ, PauliOp.SX, PauliOp.ISY)",
+        "_BELL_OPS = (PauliOp.I, PauliOp.SX, PauliOp.SZ, PauliOp.ISY)",
     ),
     Mutant(
-        "the mxn secret terms drop x from parties 1..N-1",
+        "the secret terms read a ket's basis bit too",
         "protocols.py",
-        "x_bit | x_bit >> party",
-        "x_bit >> party",
+        "mask = 0b01 if protocol is Protocol.JZ",
+        "mask = 0b11 if protocol is Protocol.JZ",
+    ),
+    Mutant(
+        "the secret terms take a party's unit bits least significant first",
+        "protocols.py",
+        ".items(), reverse=True)",
+        ".items())",
+    ),
+    Mutant(
+        "the secret terms read the label positions reversed",
+        "protocols.py",
+        "enumerate(_label_terms(protocol, parties)[1])",
+        "enumerate(_label_terms(protocol, parties)[1][::-1])",
+    ),
+    Mutant(
+        "nba codes 11 with sx, not sz",
+        "protocols.py",
+        "(1, 1): PauliOp.SZ",
+        "(1, 1): PauliOp.SX",
     ),
     Mutant(
         "run_mxn drops x from the last pair's minus bit",

@@ -142,13 +142,16 @@ def test_secret_assignment_shapes():
         lambda: nba_secrets(3, "00"),
         lambda: SecretAssignment(Protocol.NBA, (0, 1), (5,)),
         lambda: jz_secrets(2, 0),
+        lambda: SecretAssignment(Protocol.JZ, (0,), 1),
+        lambda: mxn_secrets("00", 5),
+        lambda: SecretAssignment(Protocol.NBA, "00", None),
     ],
 )
 def test_bit_fields_reject_bools(build):
     """A bool or a float equals 0 or 1 but renders as True/False or 1.0 in
-    labels and bit strings, so bit fields refuse it.  A bare number where a
-    party's bit sequence belongs is the same ValueError, not a TypeError
-    from iterating it."""
+    labels and bit strings, so bit fields refuse it.  A bare value where a
+    party's bit sequence, or the other parties, belong is the same
+    ValueError, not a TypeError from iterating it."""
     with pytest.raises(ValueError) as exc:
         build()
     assert exc.type is ValueError
@@ -168,6 +171,10 @@ def test_secret_assignment_reads_strings_and_names_the_party():
         mxn_secrets("1", [0, 1])
     with pytest.raises(ValueError, match=r"^party 2 needs 1 bits for mxn, got '01'$"):
         mxn_secrets("00", [0, "01"])
+    with pytest.raises(ValueError, match=r"^party 1 needs 1 bits for mxn, got 5$"):
+        mxn_secrets("00", 5)
+    with pytest.raises(ValueError, match=r"^party 1 needs 2 bits for nba, got None$"):
+        SecretAssignment(Protocol.NBA, "00", None)
 
 
 def test_announced_texts_spell_the_announced_symbols():
@@ -447,6 +454,38 @@ def test_otp_has_no_coding_ops():
     with pytest.raises(ValueError) as exc:
         coding_ops(otp_secrets(0, 1))
     assert exc.type is ValueError
+
+
+def test_bell_ops_are_the_engine_operations():
+    """The i-th operation takes phi+ on a pair's second qubit to the i-th
+    Bell label and + to the ket of i's low bit.  The one-bit coding moves
+    a 0/1 ket as it moves a +/- one, which jz's basis-free code needs."""
+    bell_ops = protocols._BELL_OPS
+    assert len(set(bell_ops)) == len(bell_ops) == len(PauliOp)
+    phi_plus = bell_state(BellLabel.PHI_PLUS)
+    for label, op in zip(BellLabel, bell_ops, strict=True):
+        assert equal_up_to_phase(apply_pauli(phi_plus, 1, op), bell_state(label))
+    for index, op in enumerate(bell_ops):
+        assert equal_up_to_phase(apply_pauli(ket("+"), 0, op), ket("+-"[index & 1]))
+    for op in protocols._FLIP_OPS.values():
+        flip = bell_ops.index(op) & 1
+        for basis in ("01", "+-"):
+            for index, label in enumerate(basis):
+                assert equal_up_to_phase(apply_pauli(ket(label), 0, op), ket(basis[index ^ flip]))
+
+
+@pytest.mark.parametrize(
+    "protocol, parties",
+    [(Protocol.NBA, 2), (Protocol.JZ, 2), *((Protocol.MXN, n) for n in range(2, 7))],
+)
+def test_public_syndrome_is_the_code_of_the_coded_symbols(protocol, parties):
+    """Every assignment's code, which _secret_terms reads off its unit bits
+    alone, is the code of the symbols its whole coding makes of phi+ or +,
+    one per party: the coding tables are linear, their other entries too."""
+    symbols, mask = ANNOUNCED_SYMBOLS[protocol], 0b01 if protocol is Protocol.JZ else 0b11
+    for secrets in all_secret_assignments(protocol, parties):
+        coded = [symbols[protocols._BELL_OPS.index(op) & mask] for op in coding_ops(secrets)]
+        assert protocols._public_syndrome(secrets) == _label_code(protocol, coded)
 
 
 @pytest.mark.parametrize("bit", [2, "1", True, -1])
