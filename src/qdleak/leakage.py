@@ -6,7 +6,7 @@ uniform prior over all secret assignments, the posterior keeps exactly the
 assignments that could have produced the announced transcript, weighted by
 the probability of producing it.  That probability, P(announced | secrets),
 is each protocol's transcript channel, read one column at a time from
-:mod:`qdleak.protocols` (:func:`~qdleak.protocols.channel_column`): a
+:mod:`qdleak.protocols` (:func:`~qdleak.protocols.named_coset`): a
 single transcript's posterior is its column, normalized.  A tuple's column
 is the coset of the public syndrome it names, every member at one weight,
 so normalizing cancels the weight and the posterior is the coset at equal
@@ -17,9 +17,9 @@ reads the same posteriors, one per coset of assignments that publish the
 same syndrome (2^N for mxn, 4 for nba, 2 for jz and otp), and one entry
 per tuple of the announced alphabet that names the coset it belongs to.
 Only an audit's probabilities read the weight, which for mxn is one engine
-walk per party count.  The column stays the reference that tests hold the
-lookup to.  Nothing here depends on how a protocol produces its
-announcements.
+walk per party count.  Tests hold the lookup to the column, which
+``tests/channel_reference.py`` reads off the same coset.  Nothing here
+depends on how a protocol produces its announcements.
 Leakage is quantified in bits:
 
     leaked = total secret bits - Shannon entropy of the posterior.
@@ -56,7 +56,7 @@ from .protocols import (
     party_count,
     total_secret_bits,
 )
-from .qstate import ATOL, KET_LABELS, is_bit
+from .qstate import KET_LABELS, is_bit
 
 
 # How far below 0 an entry, and how far from 1 the sum, may round.
@@ -132,9 +132,10 @@ def eve_posterior(transcript: Transcript) -> Posterior:
     """Posterior over all secret assignments given one public transcript,
     starting from a uniform prior: the cached posterior of the coset the
     transcript's code names, the one the audit reports.  It equals the
-    transcript's column of the channel,
-    :func:`~qdleak.protocols.channel_column`, normalized; tests hold it to
-    that.  An mxn transcript needs a party count in
+    transcript's column of the channel, the coset
+    :func:`~qdleak.protocols.named_coset` names at its weight, normalized;
+    tests hold it to ``channel_column`` of ``tests/channel_reference.py``.
+    An mxn transcript needs a party count in
     :data:`~qdleak.protocols.MXN_PARTIES`."""
     protocol, announced = transcript.protocol, transcript.announced
     n = len(announced)
@@ -171,29 +172,15 @@ def otp_reuse_posterior(cipher_a: int, cipher_b: int) -> Posterior:
 
 
 def jz_otp_equivalence(initial: str, outcome: str) -> bool:
-    """Whether the JZ posterior for (initial, outcome) has the same
-    structure as a reused-key OTP posterior: two hypotheses at 1/2 each,
-    bitwise complements, entropy 1 bit, with the XOR of the bits pinned."""
+    """Whether the JZ posterior for (initial, outcome) is the reused-key
+    OTP posterior of its first hypothesis's bits as ciphertexts: two
+    bitwise complements at 1/2 each, with the XOR of the bits pinned."""
     if initial not in KET_LABELS:
         raise ValueError(f"unknown ket label {initial!r}")
-    jz_post = eve_posterior(Transcript(Protocol.JZ, (initial, outcome)))
-    jz_pairs = {
-        (s.alice[0], s.others[0][0]): p for s, p in jz_post.hypotheses
-    }
-    if len(jz_pairs) != 2:
-        return False
-    (pair_a, pair_b) = sorted(jz_pairs)
-    if pair_b != (1 - pair_a[0], 1 - pair_a[1]):
-        return False
-    otp_post = otp_reuse_posterior(*pair_a)
-    otp_pairs = {
-        (s.alice[0], s.others[0][0]): p for s, p in otp_post.hypotheses
-    }
-    if set(otp_pairs) != set(jz_pairs):
-        return False
-    if any(abs(jz_pairs[k] - otp_pairs[k]) > ATOL for k in jz_pairs):
-        return False
-    return abs(jz_post.entropy_bits - otp_post.entropy_bits) <= ATOL
+    jz = eve_posterior(Transcript(Protocol.JZ, (initial, outcome))).hypotheses
+    (alice,), (bob,) = jz[0][0].full_bits
+    otp = otp_reuse_posterior(alice, bob).hypotheses
+    return [(s.full_bits, p) for s, p in jz] == [(s.full_bits, p) for s, p in otp]
 
 
 @dataclass(frozen=True)

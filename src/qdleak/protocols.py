@@ -7,23 +7,24 @@ plus the public announcements let each party decode everyone else's bits.
 Each party's operation is the one its bits select in its protocol's coding
 table, which :func:`coding_ops` reads for every party at once.
 Each protocol also has its transcript channel here, P(announced | secrets),
-read one column at a time: :func:`channel_column` gives every assignment
-that can produce one announced tuple, with its probability.  Every
-protocol's channel is one syndrome code over GF(2) and one weight.  An
-announced tuple names a code, the XOR of its symbols' terms from one
-cached table (:func:`_label_terms`, :func:`_label_code`); an assignment
-publishes one, the XOR of its set bits' terms from another
-(:func:`_secret_terms`, :func:`_public_syndrome`): two term tables, one
-code.  A transcript names the coset of the code the secrets publish, and
-one table (:func:`_cosets`) groups the assignments by that code.  A
-column is the coset of the code a tuple names, at the protocol's weight
+read one column at a time: every assignment that can produce one announced
+tuple, with its probability.  Every protocol's channel is one syndrome
+code over GF(2) and one weight.  An announced tuple names a code, the XOR
+of its symbols' terms from one cached table (:func:`_label_terms`,
+:func:`_label_code`); an assignment publishes one, the XOR of its set
+bits' terms from another (:func:`_secret_terms`,
+:func:`_public_syndrome`): two term tables, one code.  A transcript
+names the coset of the code the secrets publish, and one table
+(:func:`_cosets`) groups the assignments by that code.  A column is the
+coset of the code a tuple names, at the protocol's weight
 (:func:`_tuple_weight`, :func:`named_coset`); a code that is no key of
 the table names no coset.
 An audit reads the code of every tuple of the announced alphabet,
 :data:`ANNOUNCED_SYMBOLS`, whose symbols are listed in audit order (the
 order of their texts), from one walk of the announced symbols' table
 (:func:`alphabet_syndromes`); a single posterior reads the code one tuple
-names (:func:`_label_code`), and the column is its reference.  What an
+names (:func:`_label_code`).  Tests hold both to the column, which
+``tests/channel_reference.py`` reads off :func:`named_coset`.  What an
 outside observer can infer from the announcements is the business of
 :mod:`qdleak.leakage`.
 
@@ -213,7 +214,8 @@ class SecretAssignment:
     Each party's bits are read by :func:`as_bits` ("01" strings or int
     sequences; the other parties from any iterable) and stored as int
     tuples, so an assignment is always hashable.  A ValueError names the
-    party whose bits do not fit; a bare value for the parties is party 1's.
+    party whose bits do not fit; a bare value or one string for the parties
+    is party 1's.
     """
 
     protocol: Protocol
@@ -223,7 +225,8 @@ class SecretAssignment:
     def __post_init__(self):
         alice_w, other_w, _ = _SECRET_SHAPE[self.protocol]
         object.__setattr__(self, "alice", self._party_bits(0, self.alice, alice_w))
-        others = self.others if isinstance(self.others, Iterable) else [self.others]
+        others = self.others
+        others = [others] if isinstance(others, str) or not isinstance(others, Iterable) else others
         bits = tuple(self._party_bits(i, o, other_w) for i, o in enumerate(others, 1))
         object.__setattr__(self, "others", bits)
         party_count(self.protocol, self.num_parties)
@@ -524,12 +527,10 @@ def deduce_ghz_from_bells(outcomes: Sequence[BellLabel]) -> set[GhzLabel]:
     x is the XOR of the minus bits.  Z tensor Z on pair i times pair 0 is
     Z_0 Z_i on both multiplets, which reads (-1)^y_i, so y_i = p_0 ^ p_i
     with p = 1 for psi.  Every well-formed tuple thus names exactly one
-    label, the shared one of :func:`~qdleak.qstate.all_ghz_labels`."""
-    outcomes = tuple(outcomes)
-    n = party_count(Protocol.MXN, len(outcomes), TranscriptError)
-    if any(not isinstance(label, BellLabel) for label in outcomes):
-        raise TranscriptError(f"not Bell labels: {outcomes!r}")
-    return {all_ghz_labels(n)[_label_code(Protocol.MXN, outcomes)]}
+    label, the shared one of :func:`~qdleak.qstate.all_ghz_labels`; any
+    other input is the :class:`Transcript`'s :class:`TranscriptError`."""
+    announced = Transcript(Protocol.MXN, outcomes).announced
+    return {all_ghz_labels(len(announced))[_label_code(Protocol.MXN, announced)]}
 
 
 @functools.lru_cache(maxsize=None)
@@ -739,14 +740,3 @@ def alphabet_syndromes(protocol: Protocol, parties: int | None = None) -> list[i
     for terms in _label_terms(protocol, n)[1]:
         codes = [code ^ term for code in codes for term in terms]
     return codes
-
-
-def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
-    """Every assignment that can produce the transcript, with
-    P(announced | secrets): the coset of the syndrome the transcript names,
-    each at that syndrome's weight."""
-    named = named_coset(transcript)
-    if named is None:
-        return {}
-    _, coset, weight = named
-    return dict.fromkeys(coset, weight)

@@ -1,14 +1,19 @@
-"""The transcript channels row by row, and the audit that reads them.
+"""The transcript channels row by row and column by column, and the audit
+that reads them.
 
 A row is the whole distribution P(announced | secrets) of one assignment,
 averaged over the public choice a run draws uniformly (initial Bell label,
-initial ket, key bit; none for mxn).  ``reference_leakage_report`` is the
+initial ket, key bit; none for mxn).  A column is the other cut of the
+same channel: ``channel_column`` gives every assignment that can produce
+one announced tuple, with its probability, read off
+``qdleak.protocols.named_coset``.  ``reference_leakage_report`` is the
 audit built from all 2^(N+1) rows at once: a likelihood table keyed by
 announced tuple, sorted by the symbols' texts, with one entry per
-transcript.  Tests hold ``qdleak.protocols.channel_column`` and
-``qdleak.leakage.leakage_report``, which read one column per announced
-tuple and one posterior per coset, to these; ``spelled_entries`` spells a
-report's entries out in the reference's shape.
+transcript.  Tests hold the columns to the rows, and
+``qdleak.leakage.eve_posterior`` and ``qdleak.leakage.leakage_report``,
+which read one posterior per coset, to the columns and to the row audit;
+``spelled_entries`` spells a report's entries out in the reference's
+shape.
 
 An mxn row is the engine walk of its GHZ label (``_label_row``).
 ``exact_mxn_law`` is a second, independent reference for it: the same law
@@ -35,6 +40,7 @@ from qdleak.protocols import (
     all_secret_assignments,
     jz_outcome_label,
     mxn_label,
+    named_coset,
     nba_final_label,
     paired_bell_distribution,
     total_secret_bits,
@@ -134,6 +140,17 @@ _ROWS = {
 
 def channel_row(secrets: SecretAssignment) -> dict[tuple, float]:
     return _ROWS[secrets.protocol](secrets)
+
+
+def channel_column(transcript: Transcript) -> dict[SecretAssignment, float]:
+    """Every assignment that can produce the transcript, with
+    P(announced | secrets): the coset of the syndrome the transcript names,
+    each at that syndrome's weight."""
+    named = named_coset(transcript)
+    if named is None:
+        return {}
+    _, coset, weight = named
+    return dict.fromkeys(coset, weight)
 
 
 def _announced_sort_key(announced: tuple):

@@ -182,6 +182,24 @@ MUTANTS = [
         "json.dumps(_coset_doc(c), indent=2, sort_keys=True)",
         "json.dumps(_coset_doc(c), indent=2)",
     ),
+    Mutant(
+        "SecretAssignment reads a string of parties one party per character",
+        "protocols.py",
+        "isinstance(others, str) or not isinstance(others, Iterable)",
+        "not isinstance(others, Iterable)",
+    ),
+    Mutant(
+        "jz_otp_equivalence compares against one fixed otp posterior",
+        "leakage.py",
+        "otp_reuse_posterior(alice, bob).hypotheses",
+        "otp_reuse_posterior(0, 0).hypotheses",
+    ),
+    Mutant(
+        "deduce_ghz_from_bells reads its input unchecked",
+        "protocols.py",
+        "announced = Transcript(Protocol.MXN, outcomes).announced",
+        "announced = tuple(outcomes)",
+    ),
 ]
 
 def stale(mutant: Mutant) -> str | None:

@@ -36,7 +36,6 @@ from qdleak.protocols import (
     _cosets,
     all_secret_assignments,
     alphabet_syndromes,
-    channel_column,
     jz_decode,
     jz_outcome_label,
     mxn_decode,
@@ -54,7 +53,13 @@ from qdleak.qstate import ATOL, KET_LABELS, BellLabel, StateVector, ket, make_rn
 from qdleak.report import leakage_document, operation_table_text
 
 import coset_oracle
-from channel_reference import jz_row, nba_row, reference_leakage_report, spelled_entries
+from channel_reference import (
+    channel_column,
+    jz_row,
+    nba_row,
+    reference_leakage_report,
+    spelled_entries,
+)
 
 ALL_JZ_TRANSCRIPTS = [
     ("0", "0"), ("0", "1"), ("1", "0"), ("1", "1"),

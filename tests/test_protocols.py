@@ -27,7 +27,6 @@ from qdleak.protocols import (
     alphabet_syndromes,
     as_bits,
     bits_to_str,
-    channel_column,
     coding_ops,
     deduce_ghz_from_bells,
     ghz_after_ops,
@@ -68,6 +67,7 @@ from qdleak.qstate import (
 
 from channel_reference import (
     _label_row,
+    channel_column,
     channel_row,
     exact_mxn_law,
     label_code,
@@ -160,10 +160,16 @@ def test_bit_fields_reject_bools(build):
 def test_secret_assignment_reads_strings_and_names_the_party():
     """Every party's bits go through as_bits, so an assignment takes the
     same "01" strings the helpers take, from any iterable of parties, and a
-    bits error names the party it is about."""
+    bits error names the party it is about.  One string for the parties is
+    party 1's bits, as a bare value is, not one party per character."""
     assert SecretAssignment(Protocol.NBA, "10", iter(["01"])) == nba_secrets("10", "01")
     assert SecretAssignment(Protocol.MXN, "00", ("0", "1")) == mxn_secrets("00", [0, 1])
     assert SecretAssignment(Protocol.JZ, "1", ["0"]) == jz_secrets(1, 0)
+    assert SecretAssignment(Protocol.NBA, "00", "01").others == ((0, 1),)
+    assert SecretAssignment(Protocol.JZ, "1", "0") == jz_secrets(1, 0)
+    assert mxn_secrets("00", "01") == mxn_secrets("00", [0, 1])
+    with pytest.raises(ValueError, match=r"^party 1 needs 1 bits for mxn, got '01'$"):
+        SecretAssignment(Protocol.MXN, "00", "01")
     assert all(type(b) is int for b in mxn_secrets(np.array([1, 0]), np.array([1])).alice)
     with pytest.raises(ValueError, match=r"^party 1 needs 2 bits for nba, got '111'$"):
         nba_secrets("01", "111")
@@ -568,12 +574,13 @@ PSI_PLUS = BellLabel.PSI_PLUS
         (lambda: jz_outcome_label(0, 1, BellLabel.PHI_PLUS), ValueError),
         (lambda: jz_decode(True, "0", "1"), ValueError),
         (lambda: jz_decode(0, "x", "1"), TranscriptError),
+        (lambda: run_jz(nba_secrets("00", "00"), "0"), ValueError),
     ],
 )
 def test_two_party_helpers_reject_malformed_input(call, error):
     """A non-Bell label, or a decoded ket that is not one, is a corrupted
-    transcript; a non-bit, bools included, or an unknown initial ket is a
-    plain ValueError."""
+    transcript; a non-bit, bools included, an unknown initial ket or
+    another protocol's secrets is a plain ValueError."""
     with pytest.raises(ValueError) as exc:
         call()
     assert exc.type is error
@@ -765,6 +772,23 @@ def test_paired_distribution_matches_index_oracle():
     )
     assert paired_bell_probability(state, unreachable) == 0.0
     assert oracle_joint_bell_prob(state, unreachable) == pytest.approx(0.0, abs=ATOL)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: mxn_label(nba_secrets("00", "00")), "needs MXN secrets"),
+        (lambda: paired_bell_probability(ket("000"), [BellLabel.PHI_PLUS]), "N labels"),
+        (lambda: paired_bell_probability(ket("0000"), [BellLabel.PHI_PLUS] * 3), "N labels"),
+        (lambda: paired_bell_distribution(ket("000")), "even number of qubits"),
+    ],
+)
+def test_mxn_helpers_reject_malformed_input(call, message):
+    """Another protocol's secrets, or a state and outcomes that are not 2N
+    qubits and N labels, are a plain ValueError."""
+    with pytest.raises(ValueError, match=message) as exc:
+        call()
+    assert exc.type is ValueError
 
 
 def test_deduce_identifies_the_label_behind_every_reachable_tuple():

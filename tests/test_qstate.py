@@ -168,10 +168,15 @@ def test_ghz_label_round_trips():
         GhzLabel(2, (0,))
     with pytest.raises(ValueError):
         GhzLabel(0, ())
+    with pytest.raises(ValueError, match="at least two bits"):
+        GhzLabel.from_bits([1])
 
 
 def test_label_lookups():
     assert ghz_label_of(ghz_state(GhzLabel(1, (1, 0)))) == GhzLabel(1, (1, 0))
+    assert BellLabel.from_text("psi-") is BellLabel.PSI_MINUS
+    with pytest.raises(ValueError, match="unknown Bell label 'phi'"):
+        BellLabel.from_text("phi")
 
 
 def scan_ghz_label(state):
@@ -195,9 +200,14 @@ def test_ghz_label_of_rejects_states_outside_the_basis():
         ghz_state(GhzLabel(0, (1, 0))).amplitudes
         + ghz_state(GhzLabel(1, (1, 0))).amplitudes
     )
-    for state in (ket("000"), ket("0+1"), StateVector(mix)):
+    # the last two peak in the upper half, which folds onto the lower one
+    for state in (
+        ket("000"), ket("0+1"), StateVector(mix), ket("10"), StateVector([0, 0.6, 0.8, 0])
+    ):
         assert scan_ghz_label(state) is None
         assert ghz_label_of(state) is None
+    with pytest.raises(ValueError, match="needs 2"):
+        ghz_label_of(ket("0"))
 
 
 def test_all_ghz_labels_is_built_once_per_width():

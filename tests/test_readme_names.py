@@ -38,5 +38,5 @@ def resolves(name: str) -> bool:
 
 def test_library_section_names_resolve():
     names = library_identifiers()
-    assert {"channel_column", "MXN_PARTIES", "CosetLeakage"} <= names
+    assert {"named_coset", "MXN_PARTIES", "CosetLeakage"} <= names
     assert [name for name in sorted(names) if not resolves(name)] == []
