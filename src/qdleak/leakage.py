@@ -56,7 +56,7 @@ from .protocols import (
     party_count,
     total_secret_bits,
 )
-from .qstate import KET_LABELS, is_bit
+from .qstate import is_bit
 
 
 # How far below 0 an entry, and how far from 1 the sum, may round.
@@ -175,8 +175,6 @@ def jz_otp_equivalence(initial: str, outcome: str) -> bool:
     """Whether the JZ posterior for (initial, outcome) is the reused-key
     OTP posterior of its first hypothesis's bits as ciphertexts: two
     bitwise complements at 1/2 each, with the XOR of the bits pinned."""
-    if initial not in KET_LABELS:
-        raise ValueError(f"unknown ket label {initial!r}")
     jz = eve_posterior(Transcript(Protocol.JZ, (initial, outcome))).hypotheses
     (alice,), (bob,) = jz[0][0].full_bits
     otp = otp_reuse_posterior(alice, bob).hypotheses

@@ -319,7 +319,11 @@ class Transcript:
     announced: tuple
 
     def __post_init__(self):
-        a = tuple(self.announced)
+        a = self.announced
+        try:
+            a = tuple(a)
+        except TypeError:  # a bare int or None is no announcement
+            raise TranscriptError(f"bad {self.protocol.text} announcement {a!r}") from None
         party_count(self.protocol, len(a), TranscriptError)
         symbols = ANNOUNCED_SYMBOLS[self.protocol]
         try:

@@ -4,20 +4,23 @@ JSON documents are plain dicts (stable under json round-trips), carry a
 ``schema_version`` and a ``kind`` discriminator, and validate against the
 schemas published here.  :func:`leakage_json` writes an audit's document
 as ``json.dumps(..., indent=2, sort_keys=True)`` would, building one dict
-per coset rather than one per transcript.  Every announced symbol is
-written as its text in :data:`~qdleak.protocols.ANNOUNCED_TEXTS`, the one
-spelling of each alphabet, which ``qdleak run --initial`` also reads.  Text
-rendering is deterministic: fixed 9-decimal floats, stable orderings.
+per coset rather than one per transcript.  A run's text
+(:func:`run_text`) prints the fields of its document (:func:`run_document`).
+Every announced symbol, an audit's or a run's, is written as its text in
+:data:`~qdleak.protocols.ANNOUNCED_TEXTS`, the one spelling of each
+alphabet, which ``qdleak run --initial`` also reads.  Text rendering is
+deterministic: fixed 9-decimal floats, stable orderings.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import replace
-from typing import Any
+from typing import Any, Iterable
 
 from .leakage import CosetLeakage, LeakageReport
 from .protocols import (
+    ANNOUNCED_SYMBOLS,
     ANNOUNCED_TEXTS,
     MXN_PARTIES,
     Protocol,
@@ -37,10 +40,6 @@ _PARTY_NAMES = ("alice", "bob", "charlie")
 
 def party_name(index: int) -> str:
     return _PARTY_NAMES[index] if index < 3 else f"party{index + 1}"
-
-
-def announced_text(transcript: Transcript) -> list[str]:
-    return [getattr(symbol, "text", symbol) for symbol in transcript.announced]
 
 
 def _coset_doc(coset: CosetLeakage) -> dict[str, Any]:
@@ -121,18 +120,23 @@ def leakage_json(report: LeakageReport) -> str:
 
 
 def run_document(record: RunRecord, seed: int | None = None) -> dict[str, Any]:
+    """The run as a plain dict: mxn's party count and the seed, each
+    party's bits, the transcript's symbol texts, and each party's recovered
+    bits by party name, in party order."""
+    protocol = record.secrets.protocol
+    symbols, texts = ANNOUNCED_SYMBOLS[protocol], ANNOUNCED_TEXTS[protocol]
     params: dict[str, Any] = {}
-    if record.secrets.protocol is Protocol.MXN:
+    if protocol is Protocol.MXN:
         params["parties"] = record.secrets.num_parties
     if seed is not None:
         params["seed"] = seed
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "run-record",
-        "protocol": record.secrets.protocol.text,
+        "protocol": protocol.text,
         "params": params,
         "secrets": [bits_to_str(bits) for bits in record.secrets.full_bits],
-        "transcript": announced_text(record.transcript),
+        "transcript": [texts[symbols.index(symbol)] for symbol in record.transcript.announced],
         "decoded": [
             {
                 "party": party_name(i),
@@ -263,6 +267,10 @@ RUN_SCHEMA: dict[str, Any] = {
 }
 
 
+def _pairs(pairs: Iterable[tuple[str, str]]) -> str:
+    return " ".join(f"{name}={bits}" for name, bits in pairs)
+
+
 def _f(x: float) -> str:
     return f"{x:.9f}"
 
@@ -308,27 +316,18 @@ def leakage_text(report: LeakageReport) -> str:
 
 
 def run_text(record: RunRecord, seed: int | None = None, verbose: bool = False) -> str:
-    protocol = record.secrets.protocol
-    n = record.secrets.num_parties
-    lines = [f"protocol: {protocol.text}"]
-    if protocol is Protocol.MXN:
-        lines.append(f"parties: {n}")
-    if seed is not None:
-        lines.append(f"seed: {seed}")
-    secrets = " ".join(
-        f"{party_name(i)}={bits_to_str(bits)}"
-        for i, bits in enumerate(record.secrets.full_bits)
-    )
-    lines.append(f"secrets: {secrets}")
-    lines.append(f"transcript: {' '.join(announced_text(record.transcript))}")
+    """The fields of :func:`run_document` as lines, in document order; the
+    verbose lines, which the document has no field for, read the record."""
+    doc = run_document(record, seed)
+    lines = [f"protocol: {doc['protocol']}"]
+    lines += [f"{key}: {value}" for key, value in doc["params"].items()]
+    parties = [entry["party"] for entry in doc["decoded"]]
+    lines.append(f"secrets: {_pairs(zip(parties, doc['secrets']))}")
+    lines.append(f"transcript: {' '.join(doc['transcript'])}")
     if verbose:
         lines.append(f"operations: {' '.join(op.text for op in coding_ops(record.secrets))}")
-        if protocol is Protocol.MXN:
+        if record.secrets.protocol is Protocol.MXN:
             lines.append(f"encoded: {mxn_label(record.secrets).text}")
-    for i in range(n):
-        recovered = " ".join(
-            f"{party_name(j)}={bits_to_str(bits)}"
-            for j, bits in sorted(record.decoded[i].items())
-        )
-        lines.append(f"{party_name(i)} recovers: {recovered}")
+    for entry in doc["decoded"]:
+        lines.append(f"{entry['party']} recovers: {_pairs(entry['recovered'].items())}")
     return "\n".join(lines)

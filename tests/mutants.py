@@ -183,6 +183,20 @@ MUTANTS = [
         "json.dumps(_coset_doc(c), indent=2)",
     ),
     Mutant(
+        "run_document records the seed before the party count",
+        "report.py",
+        '    if protocol is Protocol.MXN:\n        params["parties"] = record.secrets.num_parties\n'
+        '    if seed is not None:\n        params["seed"] = seed\n',
+        '    if seed is not None:\n        params["seed"] = seed\n'
+        '    if protocol is Protocol.MXN:\n        params["parties"] = record.secrets.num_parties\n',
+    ),
+    Mutant(
+        "run_document spells a symbol by its neighbour's text",
+        "report.py",
+        "texts[symbols.index(symbol)]",
+        "texts[symbols.index(symbol) ^ 1]",
+    ),
+    Mutant(
         "SecretAssignment reads a string of parties one party per character",
         "protocols.py",
         "isinstance(others, str) or not isinstance(others, Iterable)",

@@ -72,6 +72,46 @@ def test_run_mxn_seeded_and_verbose(capsys):
     assert "alice recovers: bob=0 charlie=1" in out
 
 
+WHOLE_RUN_TEXTS = [
+    (
+        "run --protocol mxn --parties 6 --alice 10 --others 1,0,1,0,1 --seed 7 --verbose",
+        """\
+protocol: mxn
+parties: 6
+seed: 7
+secrets: alice=10 bob=1 charlie=0 party4=1 party5=0 party6=1
+transcript: psi+ psi- phi- psi+ phi+ psi+
+operations: isy isy i isy i isy
+encoded: ghz_001010
+alice recovers: bob=1 charlie=0 party4=1 party5=0 party6=1
+bob recovers: alice=10 charlie=0 party4=1 party5=0 party6=1
+charlie recovers: alice=10 bob=1 party4=1 party5=0 party6=1
+party4 recovers: alice=10 bob=1 charlie=0 party5=0 party6=1
+party5 recovers: alice=10 bob=1 charlie=0 party4=1 party6=1
+party6 recovers: alice=10 bob=1 charlie=0 party4=1 party5=0
+""",
+    ),
+    (
+        "run --protocol nba --alice 10 --bob 01 --initial psi+ --verbose",
+        """\
+protocol: nba
+secrets: alice=10 bob=01
+transcript: psi+ psi-
+operations: isy sx
+alice recovers: bob=01
+bob recovers: alice=10
+""",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, want", WHOLE_RUN_TEXTS, ids=["mxn6", "nba"])
+def test_run_text_whole_output(capsys, argv, want):
+    """Every line of a verbose run, in order: a reordered or respelled line
+    fails here, where the other run-text tests check fragments."""
+    assert run_cli(capsys, *argv.split()) == (0, want, "")
+
+
 def test_mxn_run_verbose_builds_no_state_vector(capsys, monkeypatch):
     """The encoded label is read off the secrets' bits: once the label's
     outcome table is cached, a verbose run constructs no StateVector."""

@@ -365,7 +365,7 @@ def test_jz_matches_reused_key_otp_everywhere():
         assert jz_otp_equivalence(initial, outcome)
     with pytest.raises(TranscriptError):
         jz_otp_equivalence("0", "-")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad jz announcement"):
         jz_otp_equivalence("x", "0")
 
 

@@ -217,6 +217,9 @@ def test_transcript_validation():
         Transcript(Protocol.MXN, (BellLabel.PSI_PLUS,) * 7)
     with pytest.raises(TranscriptError):
         Transcript(Protocol.OTP, ("0", "+"))
+    for protocol, bad in ((Protocol.NBA, 5), (Protocol.MXN, None)):
+        with pytest.raises(TranscriptError, match="bad .* announcement"):
+            Transcript(protocol, bad)
 
 
 # protocol -> (min length, max length, symbols) of an announcement
@@ -835,6 +838,8 @@ def test_deduce_validates_input():
         deduce_ghz_from_bells((BellLabel.PHI_PLUS, BellLabel.PSI_MINUS, "psi-"))
     with pytest.raises(TranscriptError):
         deduce_ghz_from_bells((BellLabel.PHI_PLUS, None, BellLabel.PHI_PLUS))
+    with pytest.raises(TranscriptError, match="bad mxn announcement 5"):
+        deduce_ghz_from_bells(5)
 
 
 # --- MXN: full runs ----------------------------------------------------
