@@ -14,11 +14,17 @@ when the reader closes stdout early (``| head``, which ends quietly:
 :func:`closed_stdout`), 2 on usage errors.  Output is deterministic: the
 same command line (including ``--seed``, default 0) produces
 byte-identical output.  Diagnostics go to stderr, results to stdout.
+
+:func:`main` parses with one parser per process, built on its first call:
+``parse_args`` leaves a parser unchanged, so a process that calls ``main``
+many times builds the argparse tree once.  :func:`build_parser` returns a
+fresh parser on every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -48,6 +54,8 @@ _MXN_RANGE = f"{MXN_PARTIES[0]}..{MXN_PARTIES[-1]}"
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the three subcommands.  :func:`main` does not call
+    this per command line; it reuses the one :func:`_parser` holds."""
     parser = argparse.ArgumentParser(
         prog="qdleak",
         description="Simulate bidirectional quantum dialogues and audit "
@@ -80,6 +88,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="coding table for the Bell-pair dialogue")
 
     return parser
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import,
+    so ``import qdleak.cli`` does not pay for it."""
+    return build_parser()
 
 
 def _reject(condition: bool, message: str) -> None:
@@ -156,8 +171,7 @@ def closed_stdout() -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             code = _cmd_run(args)

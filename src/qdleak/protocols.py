@@ -235,8 +235,9 @@ class SecretAssignment:
         try:
             return as_bits(value, width)
         except ValueError:
+            unit = "bit" if width == 1 else "bits"
             raise ValueError(
-                f"party {party} needs {width} bits for {self.protocol.text}, got {value!r}"
+                f"party {party} needs {width} {unit} for {self.protocol.text}, got {value!r}"
             ) from None
 
     @property

@@ -214,6 +214,12 @@ MUTANTS = [
         "announced = Transcript(Protocol.MXN, outcomes).announced",
         "announced = tuple(outcomes)",
     ),
+    Mutant(
+        "main builds a fresh parser per call",
+        "cli.py",
+        "args = _parser().parse_args(argv)",
+        "args = build_parser().parse_args(argv)",
+    ),
 ]
 
 def stale(mutant: Mutant) -> str | None:

@@ -1,9 +1,11 @@
 """Command-line behavior: output, determinism, exit codes."""
 
+import argparse
 import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -214,7 +216,7 @@ def test_table1_output(capsys):
         (["run", "--protocol", "jz", "--alice", "0", "--bob", "1", "--initial", "psi+"],
          "--initial must be one of +/-/0/1"),
         (["run", "--protocol", "jz", "--alice", "0", "--bob", "10", "--initial", "+"],
-         "party 1 needs 1 bits for jz, got '10'"),
+         "party 1 needs 1 bit for jz, got '10'"),
         (["run", "--protocol", "mxn", "--parties", "9", "--alice", "00", "--others", "0,1"],
          "--parties must be in 3..6, got 9"),
         (["run", "--protocol", "mxn", "--alice", "00", "--others", "0,1"],
@@ -222,7 +224,7 @@ def test_table1_output(capsys):
         (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1,1"],
          "--others needs 2 comma-separated bits"),
         (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,"],
-         "party 2 needs 1 bits for mxn, got ''"),
+         "party 2 needs 1 bit for mxn, got ''"),
         (["run", "--protocol", "mxn", "--parties", "3", "--alice", "0", "--others", "0,1"],
          "party 0 needs 2 bits for mxn, got '0'"),
         (["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1",
@@ -378,18 +380,98 @@ _OPTION = st.one_of(
 _FIRST = st.sampled_from(["run", "analyze", "table1"]) | _JUNK
 
 
-@given(_FIRST, st.lists(_OPTION, max_size=8))
-@settings(max_examples=200, deadline=None)
-def test_any_argv_exits_0_1_or_2_without_a_traceback(first, options):
-    argv = [first, *(token for option in options for token in option)]
+def _outcome(argv):
+    """(exit code, stdout, stderr) of ``main(argv)``; argparse's
+    ``SystemExit`` counts as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+@given(_FIRST, st.lists(_OPTION, max_size=8))
+@settings(max_examples=200, deadline=None)
+def test_any_argv_exits_0_1_or_2_without_a_traceback(first, options):
+    argv = [first, *(token for option in options for token in option)]
+    code, _, err = _outcome(argv)
     assert code in (0, 1, 2), argv
-    assert "Traceback" not in err.getvalue(), argv
+    assert "Traceback" not in err, argv
+
+
+_MXN_RUN = ["run", "--protocol", "mxn", "--parties", "4", "--alice", "01", "--others", "1,0,1",
+            "--seed", "7"]
+# Command lines whose outcome must not depend on what the process parsed
+# before: every analyze case, table1, each kind of run in each form, usage
+# errors from argparse and from the commands, and the help texts.
+PARSE_ARGVS = [
+    *(["analyze", "--protocol", p, "--format", f] for p in ("nba", "jz", "otp")
+      for f in ("text", "json")),
+    *(["analyze", "--protocol", "mxn", "--parties", str(n), "--format", f] for n in (3, 4, 5, 6)
+      for f in ("text", "json")),
+    ["table1"],
+    *(run + form
+      for run in (_run_argv("nba", "10", ["01"], "psi+", None),
+                  _run_argv("jz", "0", ["1"], "+", None), _MXN_RUN)
+      for form in ([], ["--verbose"], ["--format", "json"])),
+    [],
+    ["run", "--protocol", "nba", "--frobnicate"],
+    ["analyze", "--protocol", "bb84"],
+    ["analyze", "--protocol", "mxn", "--parties", "2"],
+    ["run", "--protocol", "mxn", "--parties", "3", "--alice", "00", "--others", "0,1,1"],
+    ["run", "--protocol", "mxn", "--parties", "three", "--alice", "00", "--others", "0,1"],
+    ["--help"],
+    ["run", "--help"],
+    ["analyze", "--help"],
+    ["table1", "--help"],
+]
+
+
+def test_main_builds_one_parser_per_process(monkeypatch):
+    """After one warm call, main constructs no ArgumentParser: not for a
+    command, a usage error or --help.  build_parser still returns a fresh
+    parser on every call."""
+    main(["table1"])
+    built = []
+    construct = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    outcomes = [
+        _outcome(argv)[0]
+        for argv in (
+            ["analyze", "--protocol", "nba"],
+            ["analyze", "--protocol", "jz", "--format", "json"],
+            ["run", "--protocol", "nba", "--alice", "10", "--bob", "01", "--initial", "psi+"],
+            [*_MXN_RUN, "--format", "json"],
+            ["table1"],
+            ["run", "--protocol", "nba", "--frobnicate"],
+            ["--help"],
+        )
+    ]
+    assert outcomes == [0, 0, 0, 0, 0, 2, 0]
+    assert built == []
+    assert cli.build_parser() is not cli.build_parser()
+    assert built  # the counter sees a construction
+
+
+def test_reused_parser_gives_the_fresh_parsers_outcomes(monkeypatch):
+    """Each command line's exit code, stdout and stderr are the same in two
+    orders within one process, and the same as when a fresh build_parser()
+    parses it."""
+    runs = []
+    for seed in (0, 1):
+        order = random.Random(seed).sample(PARSE_ARGVS, len(PARSE_ARGVS))
+        runs.append({tuple(argv): _outcome(argv) for argv in order})
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = {tuple(argv): _outcome(argv) for argv in PARSE_ARGVS}
+    assert runs[0] == runs[1] == fresh
+    assert {code for code, _, _ in fresh.values()} == {0, 2}
 
 
 SRC = Path(qdleak.__file__).resolve().parents[1]

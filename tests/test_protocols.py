@@ -168,16 +168,16 @@ def test_secret_assignment_reads_strings_and_names_the_party():
     assert SecretAssignment(Protocol.NBA, "00", "01").others == ((0, 1),)
     assert SecretAssignment(Protocol.JZ, "1", "0") == jz_secrets(1, 0)
     assert mxn_secrets("00", "01") == mxn_secrets("00", [0, 1])
-    with pytest.raises(ValueError, match=r"^party 1 needs 1 bits for mxn, got '01'$"):
+    with pytest.raises(ValueError, match=r"^party 1 needs 1 bit for mxn, got '01'$"):
         SecretAssignment(Protocol.MXN, "00", "01")
     assert all(type(b) is int for b in mxn_secrets(np.array([1, 0]), np.array([1])).alice)
     with pytest.raises(ValueError, match=r"^party 1 needs 2 bits for nba, got '111'$"):
         nba_secrets("01", "111")
     with pytest.raises(ValueError, match=r"^party 0 needs 2 bits for mxn, got '1'$"):
         mxn_secrets("1", [0, 1])
-    with pytest.raises(ValueError, match=r"^party 2 needs 1 bits for mxn, got '01'$"):
+    with pytest.raises(ValueError, match=r"^party 2 needs 1 bit for mxn, got '01'$"):
         mxn_secrets("00", [0, "01"])
-    with pytest.raises(ValueError, match=r"^party 1 needs 1 bits for mxn, got 5$"):
+    with pytest.raises(ValueError, match=r"^party 1 needs 1 bit for mxn, got 5$"):
         mxn_secrets("00", 5)
     with pytest.raises(ValueError, match=r"^party 1 needs 2 bits for nba, got None$"):
         SecretAssignment(Protocol.NBA, "00", None)
